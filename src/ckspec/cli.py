@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -128,8 +129,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_lambda(argv: list[str]) -> list[str]:
+    """Join ``--lambda -9/8,0`` into ``--lambda=-9/8,0``: argparse takes a
+    separate value that starts with '-' (other than a plain negative number)
+    for an option and would reject the negative real part."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--lambda" and re.match(r"-[0-9./]", tok):
+            out[-1] = f"--lambda={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_lambda(argv))
     try:
         return args.func(args)
     except (ModelError, FileNotFoundError) as e:

@@ -316,6 +316,9 @@ class QPoint(SpectralPoint):
     def pow_equals(self, e: int, q: RationalComplex) -> bool:
         if self.z.is_zero:
             return q.is_zero and e > 0
+        # moduli first, over the integers: most candidates fail there
+        if q.is_zero or self.z.abs2() ** e != q.abs2():
+            return False
         return self.z**e == q
 
     def to_complex(self) -> complex:
@@ -347,12 +350,12 @@ class CirclePoint(SpectralPoint):
     def pow_equals(self, e: int, q: RationalComplex) -> bool:
         if q.is_zero:
             return False
-        # r**e == q * conj(u)**e must be a positive real t with
-        # t**(2*p) == sq**e.
-        t = q * (self.u.conj() ** e)
-        if not _positive_real(t):
+        # moduli first, over the integers: |q|**(2*p) == sq**e
+        if q.abs2() ** self.r.p != self.r.pow2p_value(e):
             return False
-        return (t.re * t.re) ** self.r.p == self.r.pow2p_value(e)
+        # then r**e == q * conj(u)**e needs the right side to be a positive
+        # real; its modulus is |q| == r**e already
+        return _positive_real(q * (self.u.conj() ** e))
 
     def to_complex(self) -> complex:
         return float(self.r) * self.u.to_complex()

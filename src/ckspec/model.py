@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact import INF, ExactRadius, RationalComplex
 
@@ -80,13 +81,25 @@ class Cycle:
         return len(self.weights)
 
     def weight_product(self) -> RationalComplex:
+        """W, the product of the weights (computed once per cycle)."""
+        return self._product
+
+    def gm(self) -> ExactRadius:
+        """Geometric mean of the weight moduli: |W|**(1/p) (computed once)."""
+        return self._gm
+
+    # Memos live on the cycle, not the model: they fill on first use, so
+    # loading a model does no product work, and submodels built from the
+    # same cycles share them.
+    @cached_property
+    def _product(self) -> RationalComplex:
         out = RationalComplex.of(1)
         for w in self.weights:
             out = out * w
         return out
 
-    def gm(self) -> ExactRadius:
-        """Geometric mean of the weight moduli: |W|**(1/p)."""
+    @cached_property
+    def _gm(self) -> ExactRadius:
         return ExactRadius(self.weight_product().abs2(), self.period)
 
     @property
@@ -116,6 +129,11 @@ class Ray:
     @property
     def is_two_sided(self) -> bool:
         return self.kind == "two_sided"
+
+    @cached_property
+    def _exceptional_at(self) -> dict[int, RationalComplex]:
+        """The exceptional weights by index (built on first use)."""
+        return dict(self.exceptional)
 
 
 @dataclass(frozen=True)
@@ -223,9 +241,9 @@ class ValidatedModel:
     def ray_weight(self, ray: Ray, index: int, copy: int = 0) -> RationalComplex:
         """Weight at a ray point.  Exceptional overrides bind copy 0 only."""
         if copy == 0:
-            for i, v in ray.exceptional:
-                if i == index:
-                    return v
+            v = ray._exceptional_at.get(index)
+            if v is not None:
+                return v
         if ray.is_forward or index >= 0:
             c = self.cycle(ray.omega.cycle)
             return c.weights[(ray.omega.phase + index) % c.period]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .exact import (INF, QPoint, RationalComplex, SpectralPoint,
                     is_infinite)
@@ -467,42 +468,78 @@ def _components(m: ValidatedModel):
     return list(comps.values())
 
 
-def _ray_stream_bounds(m, ray, nn):
-    lock_neg, lock_pos = m.lock_bounds(ray)
-    if ray.is_forward:
-        p = m.cycle(ray.omega.cycle).period
-        return 0, lock_pos + p
-    pa = m.cycle(ray.alpha.cycle).period
-    pw = m.cycle(ray.omega.cycle).period
-    return lock_neg - nn - pa, lock_pos + pw
+def _abs2_streams(m: ValidatedModel, comp, l_only: bool):
+    """The |w|**2 stream of each orbit of a component, each weight squared
+    once per certificate.
 
-
-def _extreme_abs2_wn(m, comp, nn, want_max: bool, l_only: bool):
-    """Exact max (or min) of |w_nn|**2 over the points of a component."""
-    best = None
-
-    def consider(val):
-        nonlocal best
-        if best is None or (val > best if want_max else val < best):
-            best = val
-
+    Each stream maps a window length nn to a list of |w|**2 values whose
+    windows of nn consecutive entries start at every phase of a cycle, and
+    at every ray index from one alpha period below the lower lock bound to
+    one omega period past the upper one.  Windows further out repeat those.
+    """
+    streams = []
     for cid in comp["cycles"]:
-        cyc = m.cycle(cid)
-        for ph in range(cyc.period):
-            prod = RC1
-            for t in range(nn):
-                prod = prod * cyc.weights[(ph + t) % cyc.period]
-            consider(prod.abs2())
+        a = [w.abs2() for w in m.cycle(cid).weights]
+        streams.append(lambda nn, a=a: [a[k % len(a)]
+                                        for k in range(len(a) + nn - 1)])
     for ray in comp["rays"]:
-        if l_only and ray.is_forward:
-            continue
-        lo, hi = _ray_stream_bounds(m, ray, nn)
-        for start in range(lo, hi + 1):
-            prod = RC1
-            for t in range(nn):
-                prod = prod * m.ray_weight(ray, start + t)
-            consider(prod.abs2())
-    return best
+        if not (l_only and ray.is_forward):
+            streams.append(_ray_abs2_stream(m, ray))
+    return streams
+
+
+def _ray_abs2_stream(m: ValidatedModel, ray: Ray):
+    """|w|**2 along copy 0 of a ray.  The other copies of a bundle carry the
+    cycle weights, which the cycle streams already cover."""
+    lock_neg, lock_pos = m.lock_bounds(ray)
+    pw = m.cycle(ray.omega.cycle).period
+    pa = m.cycle(ray.alpha.cycle).period if ray.is_two_sided else 0
+    # the core holds one locked period on each side of the exceptional window
+    lo = lock_neg - pa + 1 if pa else 0
+    core = [m.ray_weight(ray, i).abs2() for i in range(lo, lock_pos + pw)]
+
+    def at(i):
+        if i >= lock_pos:
+            i = lock_pos + (i - lock_pos) % pw
+        elif pa and i <= lock_neg:
+            i = lock_neg - (lock_neg - i) % pa
+        return core[i - lo]
+
+    def stream(nn):
+        first = lock_neg - nn - pa if pa else 0
+        return [at(i) for i in range(first, lock_pos + pw + nn)]
+
+    return stream
+
+
+def _window_products(stream, nn: int) -> list:
+    """The product of every nn consecutive entries, in one sliding pass:
+    each step multiplies in the entering entry and divides out the leaving
+    one.  Zeros are counted, so nothing is divided by zero."""
+    prods = []
+    prod, zeros = Fraction(1), 0
+    for k, v in enumerate(stream):
+        if v:
+            prod *= v
+        else:
+            zeros += 1
+        if k >= nn:
+            gone = stream[k - nn]
+            if gone:
+                prod /= gone
+            else:
+                zeros -= 1
+        if k >= nn - 1:
+            prods.append(Fraction(0) if zeros else prod)
+    return prods
+
+
+def _extreme_abs2_wn(streams, nn: int, want_max: bool):
+    """Exact max (or min) of |w_nn|**2 over the points of a component, from
+    its |w|**2 streams: |w(k) ... w(phi^(nn-1) k)|**2 is the product of the
+    |w|**2 along the orbit."""
+    pick = max if want_max else min
+    return pick(v for s in streams for v in _window_products(s(nn), nn))
 
 
 def out_certificate(m: ValidatedModel, lam: SpectralPoint,
@@ -529,9 +566,10 @@ def out_certificate(m: ValidatedModel, lam: SpectralPoint,
         label = "+".join(sorted(comp["cycles"]))
         entry = None
         if mod > gmax:
+            streams = _abs2_streams(m, comp, l_only=False)
             nn = 1
             while nn <= horizon:
-                sup = _extreme_abs2_wn(m, comp, nn, want_max=True, l_only=False)
+                sup = _extreme_abs2_wn(streams, nn, want_max=True)
                 if sup < lam_abs2**nn:
                     margin = (float(sup) / float(lam_abs2) ** nn) ** (0.5 / nn)
                     entry = {"route": "neumann", "n": nn, "margin": margin}
@@ -544,10 +582,10 @@ def out_certificate(m: ValidatedModel, lam: SpectralPoint,
                                       if r.is_two_sided))
             sub = _submodel(m, comp)
             if invertible and chain_kernel_dim(sub, lam) == 0:
+                streams = _abs2_streams(m, comp, l_only=True)
                 nn = 1
                 while nn <= horizon:
-                    inf_l = _extreme_abs2_wn(m, comp, nn, want_max=False,
-                                             l_only=True)
+                    inf_l = _extreme_abs2_wn(streams, nn, want_max=False)
                     if lam_abs2**nn < inf_l:
                         margin = (float(lam_abs2) ** nn / float(inf_l)) ** (0.5 / nn)
                         entry = {"route": "inverse", "n": nn, "margin": margin,

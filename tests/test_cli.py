@@ -101,3 +101,14 @@ def test_parse_emit_parse_identity(fixture_file):
         m = parse_model_json(fixture_text(name))
         text = model_to_json(m)
         assert model_to_json(parse_model_json(text)) == text
+
+
+def test_certify_negative_lambda(fixture_file, capsys):
+    path = fixture_file("half")
+    assert main(["certify", path, "--lambda=-9/8,0"]) == 0
+    joined = capsys.readouterr().out
+    assert main(["certify", path, "--lambda", "-9/8,0"]) == 0
+    assert capsys.readouterr().out == joined
+    assert json.loads(joined)["kind"] == "OUT_neumann"
+    assert main(["certify", path, "--lambda", "-1/2,-1/1"]) == 0
+    assert json.loads(capsys.readouterr().out)["lambda"] == "-1/2-1i"

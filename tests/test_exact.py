@@ -130,3 +130,53 @@ def test_root_point_pow_equals_consistent_with_floats(a, b, c, d, p):
     assert lam.pow_equals(p, w)
     lc = lam.to_complex()
     assert abs(lc**p - w.to_complex()) < 1e-6 * (1 + abs(w.to_complex()))
+
+
+_fracs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_gaussian = st.builds(RationalComplex, _fracs, _fracs)
+# rational directions of modulus one; u != 1 rotates without changing |q|
+_UNITS = [RC(1), RC(0, 1), RC(-1), RC(Fraction(3, 5), Fraction(4, 5)),
+          RC(Fraction(-5, 13), Fraction(12, 13))]
+_TARGETS = ["power", "rotated", "scaled", "zero", "free"]
+
+
+def _target(power, kind, u, free):
+    return {"power": power, "rotated": power * u, "scaled": power * RC(2),
+            "zero": RC(0), "free": free}[kind]
+
+
+@given(_gaussian, st.integers(-3, 9), st.sampled_from(_UNITS),
+       st.sampled_from(_TARGETS), _gaussian)
+@settings(max_examples=300, deadline=None)
+def test_qpoint_pow_equals_matches_direct_power(z, e, u, kind, free):
+    if z.is_zero and e <= 0:
+        return  # 0**e is undefined for e < 0, and z = 0 is only tested at e > 0
+    q = _target(z**e, kind, u, free)
+    assert QPoint(z).pow_equals(e, q) == (z**e == q)
+
+
+@given(_fracs, st.integers(-3, 9), st.sampled_from(_UNITS[1:]),
+       st.sampled_from(_UNITS), st.sampled_from(_TARGETS), _gaussian)
+@settings(max_examples=300, deadline=None)
+def test_circle_point_rational_radius_pow_equals(r, e, u, v, kind, free):
+    if r == 0:
+        return
+    lam = CirclePoint(ExactRadius.from_fraction(abs(r)), u)
+    z = RC(abs(r)) * u  # the same point as a Gaussian rational
+    q = _target(z**e, kind, v, free)
+    assert lam.pow_equals(e, q) == (z**e == q)
+
+
+@given(st.sampled_from([(2, RC(1, 1)), (5, RC(2, 1)), (13, RC(3, 2))]),
+       st.integers(-3, 9), st.sampled_from(_UNITS), st.sampled_from(_UNITS),
+       st.sampled_from(_TARGETS), _gaussian)
+@settings(max_examples=300, deadline=None)
+def test_circle_point_irrational_radius_pow_equals(s_base, e, u, v, kind, free):
+    # r = sqrt(s) with |base|**2 == s: base**e has the modulus of r**e, so
+    # only the argument decides.  r**e * u**e is a Gaussian rational exactly
+    # when e is even (sqrt(s) is irrational), and then it is s**(e/2) * u**e.
+    s, base = s_base
+    lam = CirclePoint(ExactRadius(Fraction(s), 1), u)
+    q = _target(base**e, kind, v, free)
+    direct = e % 2 == 0 and RC(Fraction(s) ** (e // 2)) * u**e == q
+    assert lam.pow_equals(e, q) == direct

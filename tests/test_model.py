@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from ckspec.exact import INF, ExactRadius, RationalComplex
-from ckspec.fixtures import NAMES, load_fixture
+from ckspec.fixtures import NAMES, fixture_text, load_fixture
 from ckspec.model import (Anchor, Cycle, DanglingAnchor, DuplicateId,
                           MalformedWeight, MissingForwardRay, OrbitModel,
                           Ray, SchemaError, UnresolvablePoint, core_sets,
-                          model_to_json, parse_model_json, rho, validate,
-                          w_n)
+                          load_model, model_to_json, parse_model_json, rho,
+                          validate, w_n)
 
 RC = RationalComplex.of
 
@@ -178,3 +178,38 @@ def test_ray_weight_lock_and_overrides():
     assert m.ray_weight(r, 1) == RC(0)   # exceptional override
     assert m.ray_weight(r, 2) == RC(1)   # locked to the cycle
     assert m.lock_bounds(r) == (0, 2)
+
+
+def test_load_model_does_no_product_work(tmp_path, monkeypatch):
+    paths = []
+    for name in NAMES:
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(fixture_text(name), "utf-8")
+    long = tmp_path / "long.json"
+    long.write_text(json.dumps({
+        "name": "long",
+        "cycles": [{"id": "P", "weights": [[k % 7 + 1, 3, 1, 2]
+                                           for k in range(120)]}],
+        "rays": [{"id": "R", "kind": "forward", "multiplicity": 1,
+                  "omega": {"cycle": "P", "phase": 0},
+                  "exceptional": [[i, 2, 1, 0, 1] for i in range(0, 300, 7)]}],
+    }), "utf-8")
+    paths.append(long)
+
+    calls = []
+    mul = RationalComplex.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(RationalComplex, "__mul__", counting_mul)
+    models = [load_model(str(p)) for p in paths]
+    assert calls == []
+    # the products are made on first use, once per cycle
+    cyc = models[-1].cycle("P")
+    g = cyc.gm()
+    assert len(calls) == 120
+    assert cyc.gm() is g
+    assert cyc.weight_product() is cyc.weight_product()
+    assert len(calls) == 120

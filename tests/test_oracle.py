@@ -10,7 +10,11 @@ from fractions import Fraction
 from ckspec.exact import INF, QPoint, RationalComplex, RootPoint
 from ckspec.fixtures import load_fixture
 from ckspec.model import Anchor, Cycle, OrbitModel, Ray, validate
-from ckspec.oracle import Truncation, chain_defect_dim, chain_kernel_dim
+from ckspec.oracle import (Truncation, _abs2_streams, _components,
+                           _extreme_abs2_wn, chain_defect_dim,
+                           chain_kernel_dim)
+
+from _corpus import corpus
 
 RC = RationalComplex.of
 Q = QPoint.of
@@ -186,3 +190,64 @@ def test_truncation_enumeration_and_actions():
     half = Truncation(load_fixture("half"), 2)
     bundle_pts = [p for p in half.points() if p[0] == "ray"]
     assert len(bundle_pts) == 9  # three copies, indices 0..2
+
+
+def _direct_abs2_wn(m, comp, n, l_only):
+    """|w(k) ... w(phi^(n-1) k)|**2 at every start: each cycle phase, and
+    ray indices reaching two anchor periods past each lock bound (windows
+    further out repeat these)."""
+    vals = []
+    for cid in comp["cycles"]:
+        cyc = m.cycle(cid)
+        for ph in range(cyc.period):
+            prod = RC(1)
+            for t in range(n):
+                prod = prod * cyc.weights[(ph + t) % cyc.period]
+            vals.append(prod.abs2())
+    for ray in comp["rays"]:
+        if l_only and ray.is_forward:
+            continue
+        lock_neg, lock_pos = m.lock_bounds(ray)
+        hi = lock_pos + 2 * m.cycle(ray.omega.cycle).period + 2
+        lo = (0 if ray.is_forward
+              else lock_neg - n - 2 * m.cycle(ray.alpha.cycle).period - 2)
+        for start in range(lo, hi + 1):
+            prod = RC(1)
+            for t in range(n):
+                prod = prod * m.ray_weight(ray, start + t)
+            vals.append(prod.abs2())
+    return vals
+
+
+def _window_models():
+    models = [load_fixture("zero"), load_fixture("bundlezero")]
+    for m in corpus():
+        two_sided_window = any(
+            r.exceptional and r.exceptional[0][0] < 0 <= r.exceptional[-1][0]
+            for r in m.two_sided_rays())
+        zeros = any(c.has_zero_weight for c in m.cycles.values()) or any(
+            v.is_zero for r in m.raw.rays for _, v in r.exceptional)
+        if two_sided_window or zeros:
+            models.append(m)
+    # a deep window of distinct periods and phases, with a zero on the alpha
+    # side and a large weight on the omega side
+    models.append(mk(
+        [Cycle("A", (RC(2), RC(1, 3), RC(-1, 1))),
+         Cycle("W", (RC(1, 2), RC(0, 3))), F_AUX],
+        [Ray("t", "two_sided", 1, Anchor("W", 1), Anchor("A", 2),
+             ((-7, RC(0)), (-2, RC(5, 1)), (0, RC(1, 7)), (6, RC(9)))),
+         FWD_AUX]))
+    return models
+
+
+def test_extreme_abs2_wn_matches_direct_products():
+    models = _window_models()
+    assert len(models) > 20
+    for m in models:
+        for comp in _components(m):
+            for l_only in (False, True):
+                streams = _abs2_streams(m, comp, l_only)
+                for n in (1, 2, 4, 8, 16):
+                    direct = _direct_abs2_wn(m, comp, n, l_only)
+                    assert _extreme_abs2_wn(streams, n, True) == max(direct)
+                    assert _extreme_abs2_wn(streams, n, False) == min(direct)
