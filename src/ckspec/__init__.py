@@ -5,9 +5,9 @@ from .exact import (INF, CirclePoint, ExactRadius, QPoint, RationalComplex,
                     RootPoint)
 from .model import (CoreSets, Cycle, ModelError, OMEGA, OrbitModel, Ray,
                     ValidatedModel, core_sets, load_model, model_to_json,
-                    parse_model_json, rho, validate, w_n)
-from .oracle import (Certificate, Truncation, chain_defect_dim,
-                     chain_kernel_dim, in_certificate, out_certificate)
+                    parse_model_json, validate)
+from .oracle import (Certificate, chain_defect_dim, chain_kernel_dim,
+                     in_certificate, out_certificate)
 from .radialset import (RadialSet, canonicalize, complement_components,
                         intersect, union)
 from .spectra import (FredholmData, SpectralReport, ZeroReport,

@@ -56,14 +56,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.horizon < 4:
+        raise ModelError(f"--horizon must be at least 4, not {args.horizon}")
     model = load_model(args.model)
     lam = _parse_lambda(args.lam)
     report = essential_spectra(model)
+    # sigma_2' lies within sigma_2, so every point of the semi-Fredholm
+    # spectrum gets an upper certificate
     if report.sigma_2.member(lam):
         cert = in_certificate(model, lam, "upper", horizon=args.horizon,
-                              eps=args.eps)
-    elif report.sigma_2_prime.member(lam):
-        cert = in_certificate(model, lam, "lower", horizon=args.horizon,
                               eps=args.eps)
     elif not report.sigma.member(lam):
         cert = out_certificate(model, lam, horizon=args.horizon)
@@ -87,8 +88,9 @@ def cmd_fixtures(args) -> int:
         for name in fixtures.NAMES:
             print(name)
         return EXIT_OK
-    if args.name is None:
-        print("fixtures emit requires a name", file=sys.stderr)
+    if args.name not in fixtures.NAMES:
+        names = ", ".join(fixtures.NAMES)
+        print(f"error: fixtures emit needs one of: {names}", file=sys.stderr)
         return EXIT_INPUT
     print(fixtures.fixture_text(args.name), end="")
     return EXIT_OK
@@ -147,7 +149,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_join_lambda(argv))
     try:
         return args.func(args)
-    except (ModelError, FileNotFoundError) as e:
+    except (ModelError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except InternalInconsistency as e:

@@ -28,8 +28,6 @@ import mpmath
 
 INF = float("inf")
 
-Dim = "int | float"  # nonnegative int, or INF
-
 
 def is_infinite(d) -> bool:
     return d == INF
@@ -180,10 +178,6 @@ class ExactRadius:
     @staticmethod
     def zero() -> "ExactRadius":
         return ExactRadius(Fraction(0))
-
-    @staticmethod
-    def from_abs2(sq, p: int = 1) -> "ExactRadius":
-        return ExactRadius(Fraction(sq), p)
 
     @staticmethod
     def from_fraction(r) -> "ExactRadius":
@@ -438,25 +432,18 @@ def points_equal(a: SpectralPoint, b: SpectralPoint) -> bool:
 
 
 def rational_between(lo: ExactRadius, hi: ExactRadius | None) -> Fraction:
-    """A positive rational strictly between two radii (hi=None: above lo)."""
-    lo_f = float(lo)
-    if hi is None:
-        den = 1
-        cand = Fraction(int(lo_f) + 1)
-        while ExactRadius.from_fraction(cand) <= lo:
-            cand += 1
-        return cand
-    hi_f = float(hi)
-    den = 1
-    while den < 10**18:
-        lo_k = int(math.floor(lo_f * den)) - 1
-        hi_k = int(math.ceil(hi_f * den)) + 1
-        for k in range(max(lo_k, 0), hi_k + 1):
-            cand = Fraction(k, den)
-            if cand <= 0:
-                continue
-            r = ExactRadius.from_fraction(cand)
-            if lo < r < hi:
-                return cand
-        den *= 2
-    raise RuntimeError("no rational found between radii")
+    """A positive rational strictly between two radii (hi=None: above lo).
+
+    The dyadic c/2**k with the least k, and for it the least c: that is
+    floor(lo * 2**k) + 1, found over the integers as an integer root.
+    Without hi it is the least integer above lo.
+    """
+    n = 2 * lo.p
+    k = 0
+    while True:
+        scaled = lo.sq * 2 ** (n * k)  # (lo * 2**k) ** n
+        c = _int_nth_root(scaled.numerator // scaled.denominator, n)[0] + 1
+        cand = Fraction(c, 2**k)
+        if hi is None or ExactRadius.from_fraction(cand) < hi:
+            return cand
+        k += 1

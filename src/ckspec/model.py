@@ -63,14 +63,6 @@ class SchemaError(ModelError):
     code = "SchemaError"
 
 
-class UnresolvablePoint(ModelError):
-    code = "UnresolvablePoint"
-
-
-class EmptyPart(ModelError):
-    code = "EmptyPart"
-
-
 @dataclass(frozen=True)
 class Cycle:
     id: str
@@ -185,20 +177,12 @@ class ValidatedModel:
     def n_cycle_ids(self) -> list[str]:
         return [cid for cid in self.cycles if self.rays_into(cid)]
 
-    def l_ray_incident_ids(self) -> list[str]:
-        out = []
-        for cid in self.cycles:
-            two = [r for r in self._omega_incident[cid] if r.is_two_sided]
-            two += [r for r in self._alpha_incident[cid] if r.is_two_sided]
-            if two:
-                out.append(cid)
-        return out
-
     def isolated_cycle_ids(self) -> list[str]:
         return [cid for cid in self.cycles if not self.incident_rays(cid)]
 
     def l_components(self) -> list[dict]:
-        """Weakly connected components of the graph cycles + two-sided rays."""
+        """Weakly connected components of the graph cycles + two-sided rays,
+        in the order of their first cycles."""
         parent = {cid: cid for cid in self.cycles}
 
         def find(x):
@@ -216,7 +200,25 @@ class ValidatedModel:
             comps.setdefault(find(cid), {"cycles": [], "rays": []})["cycles"].append(cid)
         for r in self.two_sided_rays():
             comps[find(r.omega.cycle)]["rays"].append(r.id)
-        return [comps[k] for k in sorted(comps)]
+        return list(comps.values())
+
+    @cached_property
+    def critical(self) -> dict[ExactRadius, frozenset[str]]:
+        """The critical radii: zero and every cycle radius, each once and in
+        increasing order, mapped to the roles of the cycles at that radius.
+        The roles are "cluster" (a boundary cycle), "bundle" (a cycle under
+        an omega-bundle) and "image" (a cycle joined to a two-sided ray)."""
+        roles: dict[ExactRadius, set[str]] = {ExactRadius.zero(): set()}
+        for cid, cyc in self.cycles.items():
+            tags = roles.setdefault(cyc.gm(), set())
+            for r in self._omega_incident[cid] + self._alpha_incident[cid]:
+                if r.is_two_sided:
+                    tags.add("image")
+                else:
+                    tags.add("cluster")
+                    if r.multiplicity == OMEGA:
+                        tags.add("bundle")
+        return {r: frozenset(roles[r]) for r in sorted(roles)}
 
     def heads_count(self):
         total = 0
@@ -259,57 +261,6 @@ class ValidatedModel:
         if ray.is_two_sided and self.cycle(ray.alpha.cycle).has_zero_weight:
             return True
         return False
-
-    def resolve_point(self, ref: PointRef):
-        if not isinstance(ref, tuple) or not ref:
-            raise UnresolvablePoint(f"bad point reference {ref!r}")
-        if ref[0] == "cycle":
-            _, cid, phase = ref
-            if cid not in self.cycles:
-                raise UnresolvablePoint(f"unknown cycle {cid!r}")
-            if not (0 <= phase < self.cycle(cid).period):
-                raise UnresolvablePoint(f"phase {phase} out of range for {cid!r}")
-            return ref
-        if ref[0] == "ray":
-            _, rid, copy, index = ref
-            if rid not in self.rays:
-                raise UnresolvablePoint(f"unknown ray {rid!r}")
-            ray = self.rays[rid]
-            mult = ray.multiplicity
-            if copy < 0 or (mult != OMEGA and copy >= mult):
-                raise UnresolvablePoint(f"copy {copy} out of range for {rid!r}")
-            if ray.is_forward and index < 0:
-                raise UnresolvablePoint("forward ray index must be nonnegative")
-            return ref
-        raise UnresolvablePoint(f"bad point kind {ref[0]!r}")
-
-    def weight_at(self, ref: PointRef) -> RationalComplex:
-        ref = self.resolve_point(ref)
-        if ref[0] == "cycle":
-            _, cid, phase = ref
-            return self.cycle(cid).weights[phase]
-        _, rid, copy, index = ref
-        return self.ray_weight(self.rays[rid], index, copy)
-
-    def phi(self, ref: PointRef) -> PointRef:
-        ref = self.resolve_point(ref)
-        if ref[0] == "cycle":
-            _, cid, phase = ref
-            return ("cycle", cid, (phase + 1) % self.cycle(cid).period)
-        _, rid, copy, index = ref
-        return ("ray", rid, copy, index + 1)
-
-    def phi_inv(self, ref: PointRef) -> PointRef | None:
-        """Preimage under phi; None exactly at forward-ray heads."""
-        ref = self.resolve_point(ref)
-        if ref[0] == "cycle":
-            _, cid, phase = ref
-            return ("cycle", cid, (phase - 1) % self.cycle(cid).period)
-        _, rid, copy, index = ref
-        ray = self.rays[rid]
-        if ray.is_forward and index == 0:
-            return None
-        return ("ray", rid, copy, index - 1)
 
 
 def validate(raw: OrbitModel) -> ValidatedModel:
@@ -420,85 +371,24 @@ def core_sets(m: ValidatedModel) -> CoreSets:
 
 
 # ---------------------------------------------------------------------------
-# cocycle products and local spectral radii
-
-
-def w_n(m: ValidatedModel, ref: PointRef, n: int) -> RationalComplex:
-    """Product w(k) w(phi k) ... w(phi^(n-1) k); the empty product is 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = RationalComplex.of(1)
-    cur = m.resolve_point(ref)
-    for _ in range(n):
-        out = out * m.weight_at(cur)
-        cur = m.phi(cur)
-    return out
-
-
-def _cluster_gm(m: ValidatedModel, cid: str) -> ExactRadius:
-    """Cluster radius from a locked ray window (one full anchor period).
-
-    Equals the anchor-cycle geometric mean; computed from the ray's own
-    weight stream so radius checks do not all flow through Cycle.gm().
-    """
-    rays = m.rays_into(cid)
-    if not rays:
-        return m.cycle(cid).gm()
-    ray = rays[0]
-    _, lock_pos = m.lock_bounds(ray)
-    p = m.cycle(cid).period
-    prod = RationalComplex.of(1)
-    for i in range(lock_pos, lock_pos + p):
-        prod = prod * m.ray_weight(ray, i)  # past the lock: same for every copy
-    return ExactRadius(prod.abs2(), p)
-
-
-def rho(m: ValidatedModel, part, inverse: bool = False) -> ExactRadius:
-    """Spectral radius of the restriction to a part of K.
-
-    part is one of "M", "N", "L", ("cycle", id), ("cluster", id).  With
-    inverse=True returns the reciprocal bound min gm (the 1/rho(T^-1) radius
-    used for the invertible-part tests); caller checks invertibility.
-    """
-    if part == "M" or part == "N":
-        ids = m.n_cycle_ids()
-        if not ids:
-            raise EmptyPart("no boundary cycles")
-        gms = ([_cluster_gm(m, cid) for cid in ids] if part == "M"
-               else [m.cycle(cid).gm() for cid in ids])
-    elif part == "L":
-        ids = list(m.cycles)
-        if not ids:
-            raise EmptyPart("model has no cycles")
-        gms = [m.cycle(cid).gm() for cid in ids]
-    elif isinstance(part, tuple) and part[0] == "cycle":
-        if part[1] not in m.cycles:
-            raise EmptyPart(f"unknown cycle {part[1]!r}")
-        gms = [m.cycle(part[1]).gm()]
-    elif isinstance(part, tuple) and part[0] == "cluster":
-        if part[1] not in m.n_cycle_ids():
-            raise EmptyPart(f"cycle {part[1]!r} heads no cluster")
-        gms = [_cluster_gm(m, part[1])]
-    else:
-        raise EmptyPart(f"unknown part {part!r}")
-    out = gms[0]
-    for g in gms[1:]:
-        if (g < out) if inverse else (g > out):
-            out = g
-    return out
-
-
-# ---------------------------------------------------------------------------
 # strict JSON model files
 
 
 def _require_keys(obj: dict, allowed: set, required: set, where: str):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: must be an object")
     for k in obj:
         if k not in allowed:
             raise SchemaError(f"{where}: unknown key {k!r}")
     for k in required:
         if k not in obj:
             raise SchemaError(f"{where}: missing key {k!r}")
+
+
+def _require_list(x, where: str) -> list:
+    if not isinstance(x, list):
+        raise SchemaError(f"{where}: must be a list")
+    return x
 
 
 def _strict_int(x) -> bool:
@@ -520,12 +410,12 @@ def parse_model_json(text: str) -> ValidatedModel:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
+    except (RecursionError, ValueError) as e:  # deep nesting, huge integers
+        raise SchemaError(f"unreadable JSON: {e}") from e
     _require_keys(doc, {"name", "cycles", "rays"}, {"name", "cycles", "rays"},
                   "top level")
     cycles = []
-    for i, c in enumerate(doc["cycles"]):
+    for i, c in enumerate(_require_list(doc["cycles"], "cycles")):
         where = f"cycles[{i}]"
         _require_keys(c, {"id", "weights"}, {"id", "weights"}, where)
         if not isinstance(c["weights"], list) or not c["weights"]:
@@ -535,7 +425,7 @@ def parse_model_json(text: str) -> ValidatedModel:
             weights=tuple(_parse_weight(w, where) for w in c["weights"]),
         ))
     rays = []
-    for i, r in enumerate(doc["rays"]):
+    for i, r in enumerate(_require_list(doc["rays"], "rays")):
         where = f"rays[{i}]"
         _require_keys(r, {"id", "kind", "multiplicity", "omega", "alpha",
                           "exceptional"},
@@ -554,7 +444,8 @@ def parse_model_json(text: str) -> ValidatedModel:
             return Anchor(str(obj["cycle"]), obj["phase"])
 
         exc = []
-        for j, e in enumerate(r.get("exceptional", [])):
+        for j, e in enumerate(_require_list(r.get("exceptional", []),
+                                            f"{where}.exceptional")):
             if not isinstance(e, list) or len(e) != 5 or not _strict_int(e[0]):
                 raise MalformedWeight(
                     f"{where}.exceptional[{j}]: expect [index,reNum,reDen,imNum,imDen]")
@@ -565,7 +456,8 @@ def parse_model_json(text: str) -> ValidatedModel:
             multiplicity=mult,
             omega=anchor(r["omega"], "omega"),
             alpha=anchor(r["alpha"], "alpha") if "alpha" in r else None,
-            exceptional=tuple(sorted(exc)),
+            # by index alone, so that validate reports a repeated index
+            exceptional=tuple(sorted(exc, key=lambda e: e[0])),
         ))
     return validate(OrbitModel(name=str(doc["name"]), cycles=tuple(cycles),
                                rays=tuple(rays)))
@@ -593,5 +485,10 @@ def model_to_json(m: ValidatedModel) -> str:
 
 
 def load_model(path: str) -> ValidatedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not UTF-8 text ({e.reason} at byte "
+                          f"{e.start})") from e
+    return parse_model_json(text)

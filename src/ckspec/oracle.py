@@ -249,46 +249,6 @@ def _defect_dim_at_zero(m: ValidatedModel, l_only: bool):
 
 
 # ---------------------------------------------------------------------------
-# truncations
-
-
-@dataclass
-class Truncation:
-    """Finite enumeration of K with the sparse action of the operator and of
-    its dual on point masses; entries are exact, evaluated on demand."""
-
-    model: ValidatedModel
-    horizon: int
-
-    def points(self):
-        m, n = self.model, self.horizon
-        for cid, cyc in m.cycles.items():
-            for ph in range(cyc.period):
-                yield ("cycle", cid, ph)
-        for ray in m.raw.rays:
-            if ray.is_forward:
-                copies = (n + 1 if ray.multiplicity == OMEGA
-                          else min(ray.multiplicity, n + 1))
-                for c in range(copies):
-                    for i in range(n + 1):
-                        yield ("ray", ray.id, c, i)
-            else:
-                for i in range(-n, n + 1):
-                    yield ("ray", ray.id, 0, i)
-
-    def bidual_action(self, ref):
-        """T'' on the point mass at ref: (target point, weight) or None."""
-        pre = self.model.phi_inv(ref)
-        if pre is None:
-            return None
-        return pre, self.model.weight_at(pre)
-
-    def dual_action(self, ref):
-        """T' on the Dirac mass at ref: (target point, weight)."""
-        return self.model.phi(ref), self.model.weight_at(ref)
-
-
-# ---------------------------------------------------------------------------
 # certificates
 
 
@@ -448,24 +408,13 @@ def in_certificate(m: ValidatedModel, lam: SpectralPoint, side: str,
 
 
 def _components(m: ValidatedModel):
-    parent = {cid: cid for cid in m.cycles}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r in m.two_sided_rays():
-        a, b = find(r.alpha.cycle), find(r.omega.cycle)
-        if a != b:
-            parent[a] = b
-    comps = defaultdict(lambda: {"cycles": [], "rays": []})
-    for cid in m.cycles:
-        comps[find(cid)]["cycles"].append(cid)
+    """The components of the eventual image, each with every ray anchored
+    in it: its two-sided rays and the forward rays into its cycles."""
+    comps = [{"cycles": c["cycles"], "rays": []} for c in m.l_components()]
+    home = {cid: comp for comp in comps for cid in comp["cycles"]}
     for r in m.raw.rays:
-        comps[find(r.omega.cycle)]["rays"].append(r)
-    return list(comps.values())
+        home[r.omega.cycle]["rays"].append(r)
+    return comps
 
 
 def _abs2_streams(m: ValidatedModel, comp, l_only: bool):

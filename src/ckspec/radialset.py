@@ -60,10 +60,6 @@ class RadialSet:
 
     # --- queries -----------------------------------------------------------
 
-    @property
-    def is_empty(self) -> bool:
-        return not (self.annuli or self.points or self.root_sets)
-
     def radial_contains(self, r: ExactRadius) -> bool:
         return any(lo <= r <= hi for lo, hi in self.annuli)
 
@@ -111,13 +107,7 @@ class RadialSet:
         cands = [hi for _, hi in self.annuli]
         cands += [ExactRadius(z.abs2(), 1) for z in self.points]
         cands += [ExactRadius(w.abs2(), p) for w, p in self.root_sets]
-        if not cands:
-            return None
-        out = cands[0]
-        for c in cands[1:]:
-            if c > out:
-                out = c
-        return out
+        return max(cands, default=None)
 
     def is_rotation_invariant(self) -> bool:
         """True when the point part is at most the origin."""
@@ -204,17 +194,8 @@ def canonicalize(annuli=(), points=(), root_sets=()) -> RadialSet:
 
 
 def _merge_annuli(ann):
-    # exact insertion sort (the float key above is only a fast preorder)
-    ordered: list[tuple[ExactRadius, ExactRadius]] = []
-    for item in ann:
-        k = len(ordered)
-        for i, other in enumerate(ordered):
-            if item[0] < other[0]:
-                k = i
-                break
-        ordered.insert(k, item)
     merged: list[tuple[ExactRadius, ExactRadius]] = []
-    for lo, hi in ordered:
+    for lo, hi in sorted(ann, key=lambda a: a[0]):
         if merged and lo <= merged[-1][1]:
             plo, phi = merged[-1]
             merged[-1] = (plo, hi if hi > phi else phi)
@@ -224,14 +205,11 @@ def _merge_annuli(ann):
 
 
 def _root_subset(a: tuple[RationalComplex, int], b: tuple[RationalComplex, int]) -> bool:
-    """Whether root set a is contained in root set b."""
+    """Whether root set a is contained in root set b: the pa roots of wa
+    solve z**pb == wb exactly when pa divides pb and wa**(pb/pa) == wb."""
     wa, pa = a
     wb, pb = b
-    inter = root_intersection(a, b)
-    if inter is None:
-        return False
-    wi, pi = inter
-    return pi == pa and wi == wa
+    return pb % pa == 0 and wa**(pb // pa) == wb
 
 
 def root_intersection(a, b):

@@ -6,13 +6,14 @@ largest cluster radius; the invertible part contributes, per weakly
 connected component of the eventual image, either the root set of a bare
 cycle or the annulus spanned by the component's cycle radii.  The five
 essential spectra are assembled from the finitely many critical radii (the
-cycle geometric means): upper semi-Fredholmness fails exactly on cluster
-circles, below bundle clusters, and on ray-incident circles of the eventual
-image; lower semi-Fredholmness fails on boundary-cycle circles and the same
-eventual-image circles.  Between consecutive critical radii every
-classification is constant, so one exact rational sample per stratum pins
-the Fredholm index there; Browder removal keeps only those complement
-components of the semi-Fredholm spectrum that stay inside the spectrum.
+cycle geometric means, listed with their roles in ``ValidatedModel.critical``):
+upper semi-Fredholmness fails exactly on cluster circles, below bundle
+clusters, and on ray-incident circles of the eventual image; lower
+semi-Fredholmness fails on the same circles.  Between consecutive critical
+radii every classification is constant, so one exact rational sample per
+stratum pins the Fredholm index there; Browder removal keeps only those
+complement components of the semi-Fredholm spectrum that stay inside the
+spectrum.
 
 Every region decision made here is re-verifiable pointwise against the chain
 solvers in :mod:`ckspec.oracle`; ``self_check`` runs that grid.
@@ -185,13 +186,18 @@ class SpectralReport:
 # spectrum pieces
 
 
+# roles of a critical radius whose circle breaks both semi-Fredholm flags
+_BREAKS_BOTH = frozenset({"cluster", "image"})
+
+
+def _top(m: ValidatedModel, role: str) -> ExactRadius | None:
+    """The largest critical radius with the given role, if any."""
+    return next((r for r, roles in reversed(m.critical.items())
+                 if role in roles), None)
+
+
 def sigma_M(m: ValidatedModel) -> RadialSet:
-    radius = ExactRadius.zero()
-    for cid in m.n_cycle_ids():
-        g = m.cycle(cid).gm()
-        if g > radius:
-            radius = g
-    return RadialSet.disk(radius)
+    return RadialSet.disk(_top(m, "cluster") or ExactRadius.zero())
 
 
 def sigma_L(m: ValidatedModel) -> RadialSet:
@@ -250,27 +256,14 @@ def zero_analysis(m: ValidatedModel) -> ZeroReport:
 
 def _upper_at(m: ValidatedModel, lam: SpectralPoint) -> bool:
     mod = lam.modulus()
-    for cid in m.n_cycle_ids():
-        g = m.cycle(cid).gm()
-        if g == mod:
-            return False  # the cluster circle cannot be split away
-        if g > mod and any(r.multiplicity == OMEGA for r in m.rays_into(cid)):
-            return False  # infinitely many sources on the inner part
-    for cid in m.l_ray_incident_ids():
-        if m.cycle(cid).gm() == mod:
-            return False  # upper failure inside the eventual image
-    return True
+    if not m.critical.get(mod, frozenset()).isdisjoint(_BREAKS_BOTH):
+        return False  # a cluster or eventual-image circle
+    top = _top(m, "bundle")
+    return top is None or not mod < top  # inside: infinitely many sources
 
 
 def _lower_at(m: ValidatedModel, lam: SpectralPoint) -> bool:
-    mod = lam.modulus()
-    for cid in m.n_cycle_ids():
-        if m.cycle(cid).gm() == mod:
-            return False  # lam*T meets the boundary-cycle point spectrum
-    for cid in m.l_ray_incident_ids():
-        if m.cycle(cid).gm() == mod:
-            return False
-    return True
+    return m.critical.get(lam.modulus(), frozenset()).isdisjoint(_BREAKS_BOTH)
 
 
 def _heads_above(m: ValidatedModel, lam: SpectralPoint):
@@ -309,18 +302,12 @@ def fredholm_data(m: ValidatedModel, lam: SpectralPoint) -> FredholmData:
 # assembly
 
 
-def critical_radii(m: ValidatedModel) -> list[ExactRadius]:
-    seen = {ExactRadius.zero()}
-    for cyc in m.cycles.values():
-        seen.add(cyc.gm())
-    out = list(seen)
-    # insertion sort with exact comparisons
-    for i in range(1, len(out)):
-        j = i
-        while j > 0 and out[j] < out[j - 1]:
-            out[j], out[j - 1] = out[j - 1], out[j]
-            j -= 1
-    return out
+def _strata(m: ValidatedModel):
+    """(lo, hi, sample) for each open radial stratum between consecutive
+    critical radii; hi is None above the largest."""
+    radii = list(m.critical)
+    return [(lo, hi, rational_between(lo, hi))
+            for lo, hi in zip(radii, radii[1:] + [None])]
 
 
 def essential_spectra(m: ValidatedModel) -> SpectralReport:
@@ -329,32 +316,22 @@ def essential_spectra(m: ValidatedModel) -> SpectralReport:
     s_l = sigma_L(m)
     sigma = union(s_m, s_l)
 
-    circles: list[tuple[ExactRadius, ExactRadius]] = []
-    disks: list[tuple[ExactRadius, ExactRadius]] = []
-    prime_circles: list[tuple[ExactRadius, ExactRadius]] = []
-    for cid in m.n_cycle_ids():
-        g = m.cycle(cid).gm()
-        circles.append((g, g))
-        prime_circles.append((g, g))
-        if any(r.multiplicity == OMEGA for r in m.rays_into(cid)):
-            disks.append((ExactRadius.zero(), g))
-    for cid in m.l_ray_incident_ids():
-        g = m.cycle(cid).gm()
-        circles.append((g, g))
-        prime_circles.append((g, g))
+    # sigma_2' has the circles of sigma_2, and 0 in sigma_2' forces 0 in
+    # sigma_2 (not lower at 0 implies not upper), so sigma_2' <= sigma_2
+    circles = [(r, r) for r, roles in m.critical.items()
+               if not roles.isdisjoint(_BREAKS_BOTH)]
+    top = _top(m, "bundle")
+    disk = [] if top is None else [(ExactRadius.zero(), top)]
     origin = [RationalComplex.of(0)]
-    s2 = canonicalize(annuli=circles + disks,
+    s2 = canonicalize(annuli=circles + disk,
                       points=origin if not z.upper else [])
-    s2p = canonicalize(annuli=prime_circles,
-                       points=origin if not z.lower else [])
+    s2p = canonicalize(annuli=circles, points=origin if not z.lower else [])
     s1 = intersect(s2, s2p)
     s3 = union(s2, s2p)
 
-    radii = critical_radii(m)
     strata: list[StratumRow] = []
     s4_extra: list[tuple[ExactRadius, ExactRadius]] = []
-    for lo, hi in zip(radii, radii[1:] + [None]):
-        q = rational_between(lo, hi)
+    for lo, hi, q in _strata(m):
         fd = fredholm_data(m, QPoint.of(q))
         strata.append(StratumRow(lo, hi, q, fd))
         if fd.index not in (None, 0) and hi is not None:
@@ -387,7 +364,7 @@ def essential_spectra(m: ValidatedModel) -> SpectralReport:
         sigma5_equals_sigma=(s5 == sigma),
         sigma3_equals_sigma=(s3 == sigma),
         zero=z,
-        critical_radii=radii,
+        critical_radii=list(m.critical),
         strata=strata,
     )
     return report
@@ -402,10 +379,8 @@ def sample_grid(m: ValidatedModel) -> list[SpectralPoint]:
     circle, every root-set point, plus the origin."""
     second = RationalComplex.of(Fraction(3, 5), Fraction(4, 5))
     pts: list[SpectralPoint] = [QPoint.of(0)]
-    radii = critical_radii(m)
-    for lo, hi in zip(radii, radii[1:] + [None]):
-        pts.append(QPoint.of(rational_between(lo, hi)))
-    for r in radii:
+    pts += [QPoint.of(q) for _, _, q in _strata(m)]
+    for r in m.critical:
         if r.is_zero:
             continue
         q = r.rational_value()
@@ -461,9 +436,6 @@ def self_check(m: ValidatedModel, report: SpectralReport | None = None) -> list[
                "no isolated cycles but sigma_5 != sigma")
 
     l_annuli = report.sigma_l.annuli
-    crit = set()
-    for cyc in m.cycles.values():
-        crit.add(cyc.gm())
 
     for lam in sample_grid(m):
         fd = fredholm_data(m, lam)
@@ -498,7 +470,7 @@ def self_check(m: ValidatedModel, report: SpectralReport | None = None) -> list[
                    f"{tag}: sigma_4 membership vs index")
         mod = lam.modulus()
         interior = any(lo < mod < hi for lo, hi in l_annuli)
-        if interior and mod not in crit and not lam.is_zero:
+        if interior and mod not in m.critical and not lam.is_zero:
             ker_l = chain_kernel_dim(m, lam, l_only=True)
             def_l = chain_defect_dim(m, lam, l_only=True)
             expect(_dim_add(ker_l, def_l) != 0,

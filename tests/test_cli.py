@@ -69,6 +69,50 @@ def test_exit_code_input_errors(tmp_path, capsys):
         "rays": [{"id": "r", "kind": "forward", "multiplicity": 1,
                   "omega": {"cycle": "a", "phase": 0}}]}), "utf-8")
     assert main(["analyze", str(noweight)]) == 1
+    capsys.readouterr()
+
+    ok = json.loads(fixture_text("zero"))
+    dup = json.loads(fixture_text("zero"))
+    index = dup["rays"][0]["exceptional"][0][0]
+    dup["rays"][0]["exceptional"].append([index, 2, 1, 0, 1])
+    not_list = dict(ok, cycles=5)
+    bad_anchor = json.loads(fixture_text("zero"))
+    bad_anchor["rays"][0]["omega"] = "C"
+    bad_exceptional = json.loads(fixture_text("zero"))
+    bad_exceptional["rays"][0]["exceptional"] = 3
+    for doc, where in [(dup, "duplicate exceptional index"),
+                       (not_list, "cycles: must be a list"),
+                       (bad_anchor, "omega: must be an object"),
+                       (bad_exceptional, "exceptional: must be a list")]:
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc), "utf-8")
+        assert main(["analyze", str(path)]) == 1
+        assert where in capsys.readouterr().err
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(fixture_text("half").replace('"half"', '"hélf"')
+                      .encode("latin-1"))
+    assert main(["analyze", str(latin)]) == 1
+    assert "not UTF-8" in capsys.readouterr().err
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, "utf-8")
+    huge = tmp_path / "huge.json"
+    huge.write_text(fixture_text("half").replace("[1, 1, 0, 1]",
+                                                 f"[1{'0' * 5000}, 1, 0, 1]"),
+                    "utf-8")
+    for path in (deep, huge):
+        assert main(["analyze", str(path)]) == 1
+        assert "unreadable JSON" in capsys.readouterr().err
+    assert main(["analyze", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert main(["fixtures", "emit", "nope"]) == 1
+    assert "half" in capsys.readouterr().err
+    half = tmp_path / "half.json"
+    half.write_text(fixture_text("half"), "utf-8")
+    for horizon in ("3", "1", "0", "-5"):
+        for lam in ("0,1", "3,0"):  # an IN and an OUT certificate
+            assert main(["certify", str(half), "--lambda", lam,
+                         "--horizon", horizon]) == 1
+            assert "--horizon" in capsys.readouterr().err
 
 
 def test_certify_in(fixture_file, capsys):
@@ -112,3 +156,19 @@ def test_certify_negative_lambda(fixture_file, capsys):
     assert json.loads(joined)["kind"] == "OUT_neumann"
     assert main(["certify", path, "--lambda", "-1/2,-1/1"]) == 0
     assert json.loads(capsys.readouterr().out)["lambda"] == "-1/2-1i"
+
+
+def test_analyze_self_check_radii_closer_than_a_double(tmp_path):
+    # cycle radii 1 and 1 + 10**-20 round to the same double; the stratum
+    # between them still gets an exact sample
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({
+        "name": "near",
+        "cycles": [{"id": "A", "weights": [[1, 1, 0, 1]]},
+                   {"id": "B", "weights": [[10**20 + 1, 10**20, 0, 1]]}],
+        "rays": [{"id": "R", "kind": "forward", "multiplicity": 1,
+                  "omega": {"cycle": "A", "phase": 0}},
+                 {"id": "S", "kind": "two_sided", "multiplicity": 1,
+                  "omega": {"cycle": "B", "phase": 0},
+                  "alpha": {"cycle": "A", "phase": 0}}]}), "utf-8")
+    assert main(["analyze", str(path), "--self-check"]) == 0

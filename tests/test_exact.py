@@ -119,6 +119,42 @@ def test_rational_between():
     assert ExactRadius.from_fraction(q3) > ExactRadius.from_fraction(7)
 
 
+def _least_dyadic_between(lo, hi):
+    """The dyadic c/2**k strictly between lo and hi with the least k, then
+    the least c, found by plain enumeration."""
+    k = 0
+    while True:
+        c = 1
+        while ExactRadius.from_fraction(Fraction(c, 2**k)) <= lo:
+            c += 1
+        if hi is None or ExactRadius.from_fraction(Fraction(c, 2**k)) < hi:
+            return Fraction(c, 2**k)
+        k += 1
+
+
+def test_rational_between_is_least_dyadic():
+    radii = sorted([ExactRadius.zero(), ExactRadius(Fraction(1, 3), 2),
+             ExactRadius(Fraction(1, 2), 1), ExactRadius(Fraction(7, 8), 3),
+             ExactRadius.from_fraction(1), ExactRadius(Fraction(2), 1),
+             ExactRadius(Fraction(17, 8), 1), ExactRadius(Fraction(10), 3),
+             ExactRadius.from_fraction(3), ExactRadius(Fraction(50), 2)])
+    for i, lo in enumerate(radii):
+        for hi in radii[i + 1:] + [None]:
+            assert rational_between(lo, hi) == _least_dyadic_between(lo, hi)
+
+
+def test_rational_between_radii_closer_than_a_double():
+    lo = ExactRadius.from_fraction(1)
+    hi = ExactRadius.from_fraction(1 + Fraction(1, 10**20))
+    assert float(lo) == float(hi)
+    assert rational_between(lo, hi) == Fraction(2**67 + 1, 2**67)
+    # an irrational pair: 2**(1/4) and just above it
+    lo = ExactRadius(Fraction(2), 2)
+    hi = ExactRadius(Fraction(2) + Fraction(1, 10**30), 2)
+    q = rational_between(lo, hi)
+    assert lo < ExactRadius.from_fraction(q) < hi
+
+
 @given(st.integers(-6, 6), st.integers(1, 4), st.integers(-6, 6),
        st.integers(1, 4), st.integers(1, 3))
 @settings(max_examples=80, deadline=None)

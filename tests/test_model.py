@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -7,9 +6,8 @@ from ckspec.exact import INF, ExactRadius, RationalComplex
 from ckspec.fixtures import NAMES, fixture_text, load_fixture
 from ckspec.model import (Anchor, Cycle, DanglingAnchor, DuplicateId,
                           MalformedWeight, MissingForwardRay, OrbitModel,
-                          Ray, SchemaError, UnresolvablePoint, core_sets,
-                          load_model, model_to_json, parse_model_json, rho,
-                          validate, w_n)
+                          Ray, SchemaError, core_sets, load_model,
+                          model_to_json, parse_model_json, validate)
 
 RC = RationalComplex.of
 
@@ -127,48 +125,9 @@ def test_core_sets_isolated_cycle():
     assert len(cs.l_components) == 2
 
 
-def test_w_n():
-    m = load_fixture("half")
-    assert w_n(m, ("cycle", "F", 0), 0) == RC(1)
-    assert w_n(m, ("ray", "B", 5, 2), 4) == RC(1)
-    p = load_fixture("per3_isolated")
-    assert w_n(p, ("cycle", "P", 0), 3) == RC(8)
-    assert w_n(p, ("cycle", "P", 2), 2) == RC(4)
-    with pytest.raises(UnresolvablePoint):
-        w_n(m, ("cycle", "F", 1), 1)
-    with pytest.raises(UnresolvablePoint):
-        w_n(m, ("ray", "nope", 0, 0), 1)
-
-
-def test_rho():
-    m = load_fixture("half")
-    assert rho(m, "M") == ExactRadius.from_fraction(1)
-    p = load_fixture("per3_isolated")
-    assert rho(p, ("cycle", "P")) == ExactRadius.from_fraction(2)
-    assert rho(p, "L") == ExactRadius.from_fraction(2)
-    assert rho(p, "M") == ExactRadius.from_fraction(1)
-    tc = load_fixture("twocyc")
-    assert rho(tc, "L") == ExactRadius.from_fraction(2)
-    assert rho(tc, "L", inverse=True) == ExactRadius.from_fraction(Fraction(1, 2))
-
-
-def test_rho_m_equals_rho_n_on_corpus():
-    from _corpus import corpus
-    for m in corpus(40):
-        assert rho(m, "M") == rho(m, "N")
-
-
 def test_zero_weight_cycle_gm():
     m = load_fixture("bundlezero")
     assert m.cycle("C").gm().is_zero
-
-
-def test_phi_injective_heads_only():
-    m = load_fixture("twocyc")
-    assert m.phi_inv(("ray", "R", 0, 0)) is None
-    assert m.phi_inv(("ray", "R", 0, 3)) == ("ray", "R", 0, 2)
-    assert m.phi_inv(("ray", "S", 0, -2)) == ("ray", "S", 0, -3)
-    assert m.phi(("cycle", "A", 0)) == ("cycle", "A", 0)
 
 
 def test_ray_weight_lock_and_overrides():

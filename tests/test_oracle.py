@@ -10,9 +10,8 @@ from fractions import Fraction
 from ckspec.exact import INF, QPoint, RationalComplex, RootPoint
 from ckspec.fixtures import load_fixture
 from ckspec.model import Anchor, Cycle, OrbitModel, Ray, validate
-from ckspec.oracle import (Truncation, _abs2_streams, _components,
-                           _extreme_abs2_wn, chain_defect_dim,
-                           chain_kernel_dim)
+from ckspec.oracle import (_abs2_streams, _components, _extreme_abs2_wn,
+                           chain_defect_dim, chain_kernel_dim)
 
 from _corpus import corpus
 
@@ -176,22 +175,6 @@ def test_l_only_restriction():
     assert chain_kernel_dim(m, lam2) == 1
 
 
-def test_truncation_enumeration_and_actions():
-    m = load_fixture("twocyc")
-    tr = Truncation(m, 3)
-    pts = list(tr.points())
-    assert ("cycle", "A", 0) in pts and ("ray", "S", 0, -3) in pts
-    assert len([p for p in pts if p[0] == "ray" and p[1] == "R"]) == 4
-    pre = tr.bidual_action(("ray", "R", 0, 1))
-    assert pre == (("ray", "R", 0, 0), RC(Fraction(1, 2)))
-    assert tr.bidual_action(("ray", "R", 0, 0)) is None  # head annihilated
-    tgt, w = tr.dual_action(("cycle", "A", 0))
-    assert tgt == ("cycle", "A", 0) and w == RC(Fraction(1, 2))
-    half = Truncation(load_fixture("half"), 2)
-    bundle_pts = [p for p in half.points() if p[0] == "ray"]
-    assert len(bundle_pts) == 9  # three copies, indices 0..2
-
-
 def _direct_abs2_wn(m, comp, n, l_only):
     """|w(k) ... w(phi^(n-1) k)|**2 at every start: each cycle phase, and
     ray indices reaching two anchor periods past each lock bound (windows
@@ -251,3 +234,17 @@ def test_extreme_abs2_wn_matches_direct_products():
                     direct = _direct_abs2_wn(m, comp, n, l_only)
                     assert _extreme_abs2_wn(streams, n, True) == max(direct)
                     assert _extreme_abs2_wn(streams, n, False) == min(direct)
+
+
+def test_components_carry_every_ray_at_its_omega_cycle():
+    for m in corpus():
+        comps = _components(m)
+        assert sorted(c for comp in comps for c in comp["cycles"]) \
+            == sorted(m.cycles)
+        assert sorted(r.id for comp in comps for r in comp["rays"]) \
+            == sorted(m.rays)
+        for comp in comps:
+            for r in comp["rays"]:
+                assert r.omega.cycle in comp["cycles"]
+                if r.is_two_sided:
+                    assert r.alpha.cycle in comp["cycles"]

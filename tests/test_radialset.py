@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ckspec.exact import ExactRadius, QPoint, RationalComplex, RootPoint
-from ckspec.radialset import (RadialSet, canonicalize, complement_components,
-                              intersect, remove_open_gap_traces, render_svg,
+from ckspec.radialset import (RadialSet, _root_subset, canonicalize,
+                              complement_components, intersect,
+                              remove_open_gap_traces, render_svg,
                               root_intersection, union)
 
 RC = RationalComplex.of
@@ -65,6 +66,20 @@ def test_root_set_p1_becomes_point():
     assert s.points == (RC(5),) and s.root_sets == ()
     z = RadialSet.root_set(RC(0), 4)
     assert z == RadialSet.origin()
+
+
+def test_root_subset_matches_membership():
+    # root sets z**p == w**k for small Gaussian w, so that many pairs nest
+    bases = [RC(1), RC(-1), RC(0, 1), RC(2), RC(-2), RC(0, 2), RC(1, 1)]
+    sets = {(w**k, p) for w in bases for k in (1, 2) for p in (1, 2, 3, 4)}
+    nested = 0
+    for a in sets:
+        for b in sets:
+            inside = all(RootPoint(a[0], a[1], j).pow_equals(b[1], b[0])
+                         for j in range(a[1]))
+            assert _root_subset(a, b) == inside, (a, b)
+            nested += inside and a != b
+    assert nested >= 10  # the check saw proper nestings, not only a == b
 
 
 def test_root_intersection():

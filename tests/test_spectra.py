@@ -154,3 +154,24 @@ def test_corpus_identities_sample():
         assert rep.sigma_3 == union(rep.sigma_2, rep.sigma_2_prime)
         assert rep.sigma_4.issubset(rep.sigma_5)
         assert rep.sigma == union(rep.sigma_m, rep.sigma_l)
+
+
+def test_sigma_2_prime_within_sigma_2_on_corpus():
+    # both take the same circles from the critical table, and 0 in sigma_2'
+    # (T not lower semi-Fredholm) forces 0 in sigma_2
+    from _corpus import corpus
+    for m in corpus():
+        rep = essential_spectra(m)
+        assert rep.sigma_2_prime.issubset(rep.sigma_2), m.name
+
+
+def test_critical_table_roles():
+    m = load_fixture("twocyc")
+    assert list(m.critical) == [ER(0), ER(Fraction(1, 2)), ER(2)]
+    assert m.critical[ER(Fraction(1, 2))] == {"cluster", "image"}
+    assert m.critical[ER(2)] == {"image"}
+    half = load_fixture("half")
+    assert half.critical[ER(1)] == {"cluster", "bundle"}
+    per3 = load_fixture("per3_isolated")
+    assert per3.critical[ER(2)] == set()
+    assert per3.critical[ER(0)] == set()
