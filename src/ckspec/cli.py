@@ -147,6 +147,12 @@ def _join_lambda(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_lambda(argv))
+    # weights may have any number of digits: lift the cap that Python 3.10.7+
+    # puts on int <-> str conversion while this call parses and prints
+    capped = hasattr(sys, "set_int_max_str_digits")
+    if capped:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ModelError, OSError) as e:
@@ -158,6 +164,9 @@ def main(argv=None) -> int:
     except (MarginNotReached, NoEligibleOrbit) as e:
         print(f"certificate failure: {e}", file=sys.stderr)
         return EXIT_CERTIFICATE
+    finally:
+        if capped:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -11,11 +11,10 @@ Three kinds of numbers appear throughout:
   is a point of modulus exactly ``r`` in a rational unit direction;
   ``RootPoint`` is a chosen branch of a p-th root of a Gaussian rational.
 
-Every predicate is decided exactly.  The one quantity not produced by
-rational arithmetic is an integer winding count; it is an exact integer
-mathematically (the caller first verifies the corresponding complex ratio
-is a positive real) and is resolved with 60-digit evaluation plus a
-consistency guard (``_winding_count``).
+Every predicate is decided exactly, with integer and rational arithmetic
+only.  Where a branch of a root is tested, the argument enters through an
+integer wrap count (``RationalComplex.pow_wrap``), which sign tests on the
+real and imaginary parts decide.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 INF = float("inf")
 
@@ -117,17 +114,25 @@ class RationalComplex:
         return RationalComplex(n.re / d, n.im / d)
 
     def __pow__(self, e: int) -> "RationalComplex":
+        return self.pow_wrap(e)[0]
+
+    def pow_wrap(self, e: int) -> tuple["RationalComplex", int]:
+        """(self**e, k) with e*arg(self) == arg(self**e) + 2*pi*k, every arg
+        in (-pi, pi].  Square-and-multiply, and each product adds the wrap
+        that sign tests on its factors and its result decide."""
         if e < 0:
-            return RC_ONE / (self ** (-e))
-        out = RC_ONE
-        base = self
-        k = e
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            z, k = self.pow_wrap(-e)
+            # arg(1/z) == -arg(z), except that a negative real keeps arg pi
+            return RC_ONE / z, -k - (z.im == 0 and z.re < 0)
+        out, k_out = RC_ONE, 0
+        base, k_base = self, 0
+        while e:
+            if e & 1:
+                out, k_out = _wrapped_product(out, k_out, base, k_base)
+            e >>= 1
+            if e:
+                base, k_base = _wrapped_product(base, k_base, base, k_base)
+        return out, k_out
 
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -143,6 +148,27 @@ class RationalComplex:
 
 RC_ZERO = RationalComplex()
 RC_ONE = RationalComplex.of(1)
+
+
+def _half_plane(z: RationalComplex) -> int:
+    """+1 for arg z in (0, pi], 0 for arg z == 0 (and for z == 0), else -1."""
+    im = z.im.numerator
+    if im:
+        return 1 if im > 0 else -1
+    return 1 if z.re.numerator < 0 else 0
+
+
+def _wrapped_product(a: RationalComplex, ka: int, b: RationalComplex,
+                     kb: int) -> tuple[RationalComplex, int]:
+    """(a*b, ka + kb + c) with arg a + arg b == arg(a*b) + 2*pi*c.
+
+    c is +1 when both args lie in (0, pi] and their sum leaves that range,
+    -1 when both lie in (-pi, 0) and their sum leaves it, else 0."""
+    ab = a * b
+    h = _half_plane(a)
+    if h and h == _half_plane(b) and _half_plane(ab) != h:
+        return ab, ka + kb + h
+    return ab, ka + kb
 
 
 @dataclass(frozen=True)
@@ -208,10 +234,6 @@ class ExactRadius:
     def __ge__(self, o):
         return self.cmp(o) >= 0
 
-    def pow2p_value(self, e: int) -> Fraction:
-        """self**(2*p*e) as an exact rational (helper for power tests)."""
-        return self.sq**e
-
     def rational_value(self) -> Fraction | None:
         """The radius as a Fraction when it is rational, else None."""
         if self.p != 1:
@@ -242,29 +264,6 @@ class ExactRadius:
 # exact spectral sample points
 
 
-_WINDING_DPS = 60
-
-
-def _winding_count(terms) -> int:
-    """Round sum(c * arg(z) for c, z in terms) / (2*pi) to the integer it is.
-
-    Callers establish by exact arithmetic that the sum is an integer multiple
-    of 2*pi before calling; the guard only protects against precision loss.
-    """
-    with mpmath.workdps(_WINDING_DPS):
-        total = mpmath.mpf(0)
-        for c, z in terms:
-            total += c * mpmath.atan2(
-                mpmath.mpf(z.im.numerator) / z.im.denominator,
-                mpmath.mpf(z.re.numerator) / z.re.denominator,
-            )
-        val = total / (2 * mpmath.pi())
-        k = int(mpmath.nint(val))
-        if abs(val - k) > mpmath.mpf("0.25"):
-            raise RuntimeError("winding count did not resolve to an integer")
-    return k
-
-
 def _positive_real(z: RationalComplex) -> bool:
     return z.im == 0 and z.re > 0
 
@@ -285,9 +284,6 @@ class SpectralPoint:
 
     def to_complex(self) -> complex:
         raise NotImplementedError
-
-    def equals(self, other: "SpectralPoint") -> bool:
-        return points_equal(self, other)
 
 
 @dataclass(frozen=True)
@@ -345,7 +341,7 @@ class CirclePoint(SpectralPoint):
         if q.is_zero:
             return False
         # moduli first, over the integers: |q|**(2*p) == sq**e
-        if q.abs2() ** self.r.p != self.r.pow2p_value(e):
+        if q.abs2() ** self.r.p != self.r.sq**e:
             return False
         # then r**e == q * conj(u)**e needs the right side to be a positive
         # real; its modulus is |q| == r**e already
@@ -383,12 +379,14 @@ class RootPoint(SpectralPoint):
             return False
         if self.w.abs2() ** e != q.abs2() ** self.p:
             return False
-        # need e*arg(w) - p*arg(q) in 2*pi*Z, then the branch congruence
-        zeta = (self.w**e) * (q.conj() ** self.p)
-        if not _positive_real(zeta):
+        # self**e == q iff e*(arg w + 2*pi*j) - p*arg(q) lies in 2*pi*p*Z.
+        # With e*arg(w) == arg(W) + 2*pi*k1 and p*arg(q) == arg(Q) + 2*pi*k2
+        # that is arg(W) == arg(Q) and k1 - k2 + e*j == 0 (mod p)
+        big_w, k1 = self.w.pow_wrap(e)
+        big_q, k2 = q.pow_wrap(self.p)
+        if not _positive_real(big_w * big_q.conj()):
             return False
-        s = _winding_count([(e, self.w), (-self.p, q)])
-        return (s + e * self.branch) % self.p == 0
+        return (k1 - k2 + e * self.branch) % self.p == 0
 
     def to_complex(self) -> complex:
         rad = float(self.modulus())
@@ -398,33 +396,6 @@ class RootPoint(SpectralPoint):
 
     def __str__(self):
         return f"root{self.branch}({self.w})^(1/{self.p})"
-
-
-def points_equal(a: SpectralPoint, b: SpectralPoint) -> bool:
-    if isinstance(a, QPoint):
-        if a.z.is_zero:
-            return isinstance(b, QPoint) and b.z.is_zero
-        return b.pow_equals(1, a.z)
-    if isinstance(b, QPoint):
-        return points_equal(b, a)
-    if a.modulus() != b.modulus():
-        return False
-    if isinstance(a, CirclePoint) and isinstance(b, CirclePoint):
-        return a.u == b.u  # equal moduli already checked
-    if isinstance(a, RootPoint) and isinstance(b, RootPoint):
-        zeta = (a.w**b.p) * (b.w.conj() ** a.p)
-        if not _positive_real(zeta):
-            return False
-        s = _winding_count([(b.p, a.w), (-a.p, b.w)])
-        return (s + a.branch * b.p - b.branch * a.p) % (a.p * b.p) == 0
-    if isinstance(a, RootPoint) and isinstance(b, CirclePoint):
-        a, b = b, a
-    # a CirclePoint, b RootPoint: p*arg(u) - arg(w) = 2*pi*s and s == j mod p
-    zeta = (a.u**b.p) * b.w.conj()
-    if not _positive_real(zeta):
-        return False
-    s = _winding_count([(b.p, a.u), (-1, b.w)])
-    return (s - b.branch) % b.p == 0
 
 
 # ---------------------------------------------------------------------------

@@ -135,10 +135,6 @@ class OrbitModel:
     rays: tuple[Ray, ...]
 
 
-# point references: ("cycle", cycle_id, phase) | ("ray", ray_id, copy, index)
-PointRef = tuple
-
-
 class ValidatedModel:
     """An OrbitModel with all invariants checked and lookups prepared."""
 
@@ -173,12 +169,6 @@ class ValidatedModel:
         two = [r for r in self._omega_incident[cid] if r.is_two_sided]
         two += [r for r in self._alpha_incident[cid] if r.is_two_sided]
         return self.rays_into(cid) + two
-
-    def n_cycle_ids(self) -> list[str]:
-        return [cid for cid in self.cycles if self.rays_into(cid)]
-
-    def isolated_cycle_ids(self) -> list[str]:
-        return [cid for cid in self.cycles if not self.incident_rays(cid)]
 
     def l_components(self) -> list[dict]:
         """Weakly connected components of the graph cycles + two-sided rays,
@@ -314,60 +304,21 @@ def validate(raw: OrbitModel) -> ValidatedModel:
 
 
 @dataclass
-class ZeroEntry:
-    point: PointRef
-    isolated: bool
-
-
-@dataclass
 class CoreSets:
-    """L / M / N bookkeeping for a validated model."""
+    """Sizes of the sources (points outside phi(K)) and of the zero set of w."""
 
-    l_components: list[dict]
-    n_cycles: list[str]
-    m_clusters: list[tuple[str, list[str]]]
     sources_count: object  # int or INF
-    sources: list[PointRef] | None  # None when infinite
-    z_w: list[ZeroEntry]
     z_w_count: object  # int or INF
-    int_l_isolated: list[str]
 
 
 def core_sets(m: ValidatedModel) -> CoreSets:
-    n_ids = m.n_cycle_ids()
-    clusters = [(cid, [r.id for r in m.rays_into(cid)]) for cid in n_ids]
-    heads = m.heads_count()
-    if heads == INF:
-        sources = None
-    else:
-        sources = [("ray", r.id, c, 0)
-                   for r in m.forward_rays() for c in range(r.multiplicity)]
-
-    zeros: list[ZeroEntry] = []
-    infinite_zeros = False
+    zeros = sum(v.is_zero for r in m.raw.rays for _, v in r.exceptional)
     for cid, cyc in m.cycles.items():
-        incident = bool(m.incident_rays(cid))
-        for ph, w in enumerate(cyc.weights):
-            if w.is_zero:
-                zeros.append(ZeroEntry(("cycle", cid, ph), isolated=not incident))
-                if incident:
-                    infinite_zeros = True  # locked ray weights repeat the zero
-    for r in m.raw.rays:
-        for i, v in r.exceptional:
-            if v.is_zero:
-                zeros.append(ZeroEntry(("ray", r.id, 0, i), isolated=True))
-    z_count = INF if infinite_zeros else len(zeros)
-
-    return CoreSets(
-        l_components=m.l_components(),
-        n_cycles=n_ids,
-        m_clusters=clusters,
-        sources_count=heads,
-        sources=sources,
-        z_w=zeros,
-        z_w_count=z_count,
-        int_l_isolated=m.isolated_cycle_ids(),
-    )
+        n = sum(w.is_zero for w in cyc.weights)
+        if n and m.incident_rays(cid):
+            return CoreSets(m.heads_count(), INF)  # locked ray weights repeat it
+        zeros += n
+    return CoreSets(m.heads_count(), zeros)
 
 
 # ---------------------------------------------------------------------------

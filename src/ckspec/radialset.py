@@ -54,10 +54,6 @@ class RadialSet:
     def annulus(lo: ExactRadius, hi: ExactRadius) -> "RadialSet":
         return canonicalize(annuli=[(lo, hi)])
 
-    @staticmethod
-    def root_set(w: RationalComplex, p: int) -> "RadialSet":
-        return canonicalize(root_sets=[(w, p)])
-
     # --- queries -----------------------------------------------------------
 
     def radial_contains(self, r: ExactRadius) -> bool:
@@ -296,36 +292,26 @@ class RadialGap:
     """An open connected component of the complement of the annuli.
 
     lo is None for the inner disk {|z| < hi}; hi is None for the unbounded
-    component {|z| > lo}.  punctures counts stored points inside the gap
-    (they never disconnect it).
+    component {|z| > lo}.  The point part of the set only punctures a gap;
+    it never disconnects it.
     """
 
     lo: ExactRadius | None
     hi: ExactRadius | None
-    punctures: int
 
 
 def complement_components(s: RadialSet) -> list[RadialGap]:
-    gaps: list[tuple[ExactRadius | None, ExactRadius | None]] = []
     if not s.annuli:
-        gaps.append((None, None))
-    else:
-        first_lo = s.annuli[0][0]
-        if not first_lo.is_zero:
-            gaps.append((None, first_lo))
-        for (lo1, hi1), (lo2, hi2) in zip(s.annuli, s.annuli[1:]):
-            if hi1 < lo2:
-                gaps.append((hi1, lo2))
-        gaps.append((s.annuli[-1][1], None))
-    out = []
-    for lo, hi in gaps:
-        count = 0
-        for pt in s.point_members():
-            r = pt.modulus()
-            if ((lo is None or r > lo) and (hi is None or r < hi)):
-                count += 1
-        out.append(RadialGap(lo, hi, count))
-    return out
+        return [RadialGap(None, None)]
+    gaps = []
+    first_lo = s.annuli[0][0]
+    if not first_lo.is_zero:
+        gaps.append(RadialGap(None, first_lo))
+    for (_, hi1), (lo2, _) in zip(s.annuli, s.annuli[1:]):
+        if hi1 < lo2:
+            gaps.append(RadialGap(hi1, lo2))
+    gaps.append(RadialGap(s.annuli[-1][1], None))
+    return gaps
 
 
 def remove_open_gap_traces(s: RadialSet, gaps: list[RadialGap]) -> RadialSet:

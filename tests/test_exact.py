@@ -3,8 +3,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from ckspec.exact import (CirclePoint, ExactRadius, QPoint, RationalComplex,
-                          RootPoint, fraction_nth_root, points_equal,
-                          rational_between)
+                          RootPoint, fraction_nth_root, rational_between)
+from ckspec.radialset import canonicalize
 
 RC = RationalComplex.of
 
@@ -87,14 +87,15 @@ def test_root_point_power_and_equality():
     assert r0.pow_equals(3, RC(8)) and r1.pow_equals(3, RC(8))
     assert r0.pow_equals(1, RC(2))
     assert not r1.pow_equals(1, RC(2))
-    assert points_equal(r0, QPoint.of(2))
-    assert not points_equal(r1, QPoint.of(2))
-    # branch 1 of z^3=8 equals 2*exp(2*pi*i/3); its square is branch 2 of z^3=64...
-    # check via the sixth roots: z^6 = 64 holds for all cube roots of 8
+    two = canonicalize(points=[RC(2)])
+    assert two.member(r0) and not two.member(r1)
+    # every cube root of 8 is a sixth root of 64
     assert r1.pow_equals(6, RC(64))
-    # equality across descriptors: z^3 == 8 branch 0 vs z^6 == 64 suitable branch
-    r64 = RootPoint(RC(64), 6, 0)
-    assert points_equal(r0, r64)
+    # branch 1 of z^3 == 8 is 2*exp(2*pi*i/3), which is branch 2 of z^6 == 64
+    # (the branches of z^6 == 64 whose cube is 8 are 0, 2 and 4)
+    assert [j for j in range(6)
+            if RootPoint(RC(64), 6, j).pow_equals(3, RC(8))] == [0, 2, 4]
+    assert RootPoint(RC(64), 6, 0).pow_equals(1, RC(2))
 
 
 def test_root_point_complex_argument():
@@ -104,8 +105,9 @@ def test_root_point_complex_argument():
             for j in range(4)}
     assert vals == {(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)}
     assert RootPoint(RC(-4), 4, 0).pow_equals(4, RC(-4))
-    assert any(points_equal(RootPoint(RC(-4), 4, j), QPoint.of(1, 1))
-               for j in range(4))
+    # arg(-4) == pi, so branch 0 is 2**(1/2) * exp(i*pi/4) == 1 + i
+    assert [j for j in range(4)
+            if RootPoint(RC(-4), 4, j).pow_equals(1, RC(1, 1))] == [0]
 
 
 def test_rational_between():

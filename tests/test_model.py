@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from ckspec.model import (Anchor, Cycle, DanglingAnchor, DuplicateId,
                           model_to_json, parse_model_json, validate)
 
 RC = RationalComplex.of
+ER = ExactRadius.from_fraction
 
 
 def test_missing_forward_ray_rejected():
@@ -84,45 +86,48 @@ def test_roundtrip_all_fixtures():
 def test_core_sets_half():
     m = load_fixture("half")
     cs = core_sets(m)
-    assert cs.n_cycles == ["F"]
-    assert cs.m_clusters == [("F", ["B"])]
-    assert cs.sources_count == INF and cs.sources is None
-    assert cs.int_l_isolated == []
-    assert cs.z_w == [] and cs.z_w_count == 0
+    assert cs.sources_count == INF and cs.z_w_count == 0
+    # F is the one boundary cycle, under the bundle B
+    assert m.critical == {ER(0): frozenset(),
+                          ER(1): frozenset({"cluster", "bundle"})}
 
 
 def test_core_sets_ray1():
-    cs = core_sets(load_fixture("ray1"))
-    assert cs.sources_count == 1
-    assert cs.sources == [("ray", "R", 0, 0)]
-    assert cs.n_cycles == ["F"]
+    m = load_fixture("ray1")
+    cs = core_sets(m)
+    assert cs.sources_count == 1 and cs.z_w_count == 0
+    assert m.critical[ER(1)] == {"cluster"}
 
 
 def test_core_sets_twocyc():
     m = load_fixture("twocyc")
     cs = core_sets(m)
-    assert cs.n_cycles == ["A"]
-    assert cs.m_clusters == [("A", ["R"])]
-    comp = cs.l_components
-    assert len(comp) == 1
-    assert sorted(comp[0]["cycles"]) == ["A", "B"]
-    assert comp[0]["rays"] == ["S"]
-    assert cs.int_l_isolated == []
+    assert cs.sources_count == 1 and cs.z_w_count == 0
+    # A carries the forward ray R and the alpha end of S; B only S
+    assert m.critical[ER(Fraction(1, 2))] == {"cluster", "image"}
+    assert m.critical[ER(2)] == {"image"}
+    assert m.l_components() == [{"cycles": ["A", "B"], "rays": ["S"]}]
 
 
 def test_core_sets_zero_flags():
-    cs = core_sets(load_fixture("zero"))
-    assert cs.z_w_count == 1
-    assert cs.z_w[0].isolated
-    cs2 = core_sets(load_fixture("bundlezero"))
-    assert cs2.z_w_count == INF
-    assert any(not z.isolated for z in cs2.z_w)
+    # an exceptional zero on a ray is one point of Z(w)
+    assert core_sets(load_fixture("zero")).z_w_count == 1
+    # a zero on a cycle with a ray repeats along the locked ray weights
+    assert core_sets(load_fixture("bundlezero")).z_w_count == INF
+    # a zero on a cycle without rays is one point per phase
+    raw = OrbitModel("m", (Cycle("a", (RC(0), RC(2))), Cycle("f", (RC(1),))),
+                     (Ray("r", "forward", 2, Anchor("f", 0)),))
+    cs = core_sets(validate(raw))
+    assert cs.z_w_count == 1 and cs.sources_count == 2
 
 
 def test_core_sets_isolated_cycle():
-    cs = core_sets(load_fixture("per3_isolated"))
-    assert cs.int_l_isolated == ["P"]
-    assert len(cs.l_components) == 2
+    m = load_fixture("per3_isolated")
+    assert core_sets(m).sources_count == 1
+    # P has no ray: its radius 2 has no role, and it is a component alone
+    assert m.critical[ER(2)] == frozenset()
+    assert m.l_components() == [{"cycles": ["P"], "rays": []},
+                                {"cycles": ["F"], "rays": []}]
 
 
 def test_zero_weight_cycle_gm():

@@ -51,7 +51,7 @@ def test_member_annulus():
 
 
 def test_root_set_membership_and_absorption():
-    rs = RadialSet.root_set(RC(8), 3)
+    rs = canonicalize(root_sets=[(RC(8), 3)])
     assert rs.member(QPoint.of(2))
     assert rs.member(RootPoint(RC(8), 3, 1))
     assert not rs.member(QPoint.of(-2))
@@ -62,9 +62,9 @@ def test_root_set_membership_and_absorption():
 
 
 def test_root_set_p1_becomes_point():
-    s = RadialSet.root_set(RC(5), 1)
+    s = canonicalize(root_sets=[(RC(5), 1)])
     assert s.points == (RC(5),) and s.root_sets == ()
-    z = RadialSet.root_set(RC(0), 4)
+    z = canonicalize(root_sets=[(RC(0), 4)])
     assert z == RadialSet.origin()
 
 
@@ -89,8 +89,8 @@ def test_root_intersection():
     assert root_intersection((RC(4), 2), (RC(-8), 3)) == (RC(-2), 1)
     # incompatible moduli: no common root
     assert root_intersection((RC(4), 2), (RC(27), 3)) is None
-    s1 = RadialSet.root_set(RC(4), 2)
-    s2 = RadialSet.root_set(RC(16), 4)
+    s1 = canonicalize(root_sets=[(RC(4), 2)])
+    s2 = canonicalize(root_sets=[(RC(16), 4)])
     assert intersect(s1, s2) == s1
 
 
@@ -107,12 +107,6 @@ def test_complement_components():
     gaps = complement_components(ann)
     assert [(g.lo is None, g.hi is None) for g in gaps] == [(True, False),
                                                             (False, True)]
-
-
-def test_complement_counts_punctures():
-    s = canonicalize(annuli=[(ER(2), ER(3))], points=[RC(1)])
-    gaps = complement_components(s)
-    assert gaps[0].punctures == 1 and gaps[1].punctures == 0
 
 
 def test_remove_open_gap_traces():
