@@ -12,7 +12,6 @@ from .radialset import (RadialSet, canonicalize, complement_components,
                         intersect, union)
 from .spectra import (FredholmData, SpectralReport, ZeroReport,
                       essential_spectra, fredholm_data, sample_grid,
-                      self_check, sigma_L, sigma_M, sigma_total,
-                      zero_analysis)
+                      self_check, sigma_L, sigma_M, zero_analysis)
 
 __version__ = "0.1.0"

@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 input error, 2 internal inconsistency,
-3 certificate failure.
+3 certificate failure.  A standard output closed by its reader ends the
+call quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -154,7 +156,16 @@ def main(argv=None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of standard output has gone, which is no input error;
+        # point stdout at devnull so the interpreter's final flush succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ModelError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -36,14 +36,18 @@ def _int_nth_root(x: int, n: int) -> tuple[int, bool]:
         raise ValueError("negative radicand")
     if n == 1 or x in (0, 1):
         return x, True
-    lo, hi = 0, 1 << ((x.bit_length() + n - 1) // n + 1)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if mid**n <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo, lo**n == x
+    if n == 2:
+        r = math.isqrt(x)
+    else:
+        # Newton's step on r**n - x from above the root decreases strictly
+        # until it reaches the floor of the root
+        r = 1 << ((x.bit_length() + n - 1) // n)
+        while True:
+            s = ((n - 1) * r + x // r ** (n - 1)) // n
+            if s >= r:
+                break
+            r = s
+    return r, r**n == x
 
 
 def fraction_nth_root(q: Fraction, n: int) -> Fraction | None:

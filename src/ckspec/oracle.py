@@ -520,7 +520,7 @@ def out_certificate(m: ValidatedModel, lam: SpectralPoint,
             while nn <= horizon:
                 sup = _extreme_abs2_wn(streams, nn, want_max=True)
                 if sup < lam_abs2**nn:
-                    margin = (float(sup) / float(lam_abs2) ** nn) ** (0.5 / nn)
+                    margin = float(sup / lam_abs2**nn) ** (0.5 / nn)
                     entry = {"route": "neumann", "n": nn, "margin": margin}
                     break
                 nn *= 2
@@ -536,7 +536,7 @@ def out_certificate(m: ValidatedModel, lam: SpectralPoint,
                 while nn <= horizon:
                     inf_l = _extreme_abs2_wn(streams, nn, want_max=False)
                     if lam_abs2**nn < inf_l:
-                        margin = (float(lam_abs2) ** nn / float(inf_l)) ** (0.5 / nn)
+                        margin = float(lam_abs2**nn / inf_l) ** (0.5 / nn)
                         entry = {"route": "inverse", "n": nn, "margin": margin,
                                  "kernel_checked": True}
                         break

@@ -2,15 +2,16 @@
 
 Every spectral set this package emits is a ``RadialSet``: a finite union of
 closed annuli (circles and disks are degenerate annuli) together with a
-finite point part.  Points come in two exact flavours: Gaussian rational
-singletons, and *root sets* {z : z**p == W} stored by the pair (W, p) so
-membership is a rational power test rather than a floating comparison.
+finite point part.  The point part is a list of *root sets*
+{z : z**p == W}, stored by the pair (W, p) so membership is a rational power
+test rather than a floating comparison.  A Gaussian rational point z is the
+root set (z, 1), and the origin is (0, 1).
 
-Canonical form: annuli sorted, disjoint, touching intervals merged; points
-deduplicated and dropped when an annulus already covers them.  Union and
-intersection are closed on canonical forms; complements are reported as the
-radial gaps (finitely many points never disconnect a planar open set, so
-point parts only puncture gaps).
+Canonical form: annuli sorted, disjoint, touching intervals merged; root
+sets deduplicated and dropped when an annulus or another root set already
+covers them.  Union and intersection are closed on canonical forms;
+complements are reported as the radial gaps (finitely many points never
+disconnect a planar open set, so the point part only punctures gaps).
 """
 
 from __future__ import annotations
@@ -18,29 +19,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .exact import (ExactRadius, QPoint, RationalComplex, RootPoint,
-                    SpectralPoint)
+from .exact import (RC_ZERO, ExactRadius, QPoint, RationalComplex,
+                    RootPoint, SpectralPoint)
+
+ORIGIN = (RC_ZERO, 1)  # the root set {z : z**1 == 0}
 
 
 @dataclass(frozen=True)
 class RadialSet:
+    """Closed annuli plus root sets (W, p), where p == 1 is a single point."""
+
     annuli: tuple[tuple[ExactRadius, ExactRadius], ...] = ()
-    points: tuple[RationalComplex, ...] = ()
     root_sets: tuple[tuple[RationalComplex, int], ...] = ()
 
     # --- constructors ------------------------------------------------------
-
-    @staticmethod
-    def empty() -> "RadialSet":
-        return RadialSet()
-
-    @staticmethod
-    def point(z: RationalComplex) -> "RadialSet":
-        return canonicalize(points=[z])
-
-    @staticmethod
-    def origin() -> "RadialSet":
-        return RadialSet.point(RationalComplex.of(0))
 
     @staticmethod
     def circle(r: ExactRadius) -> "RadialSet":
@@ -50,38 +42,20 @@ class RadialSet:
     def disk(r: ExactRadius) -> "RadialSet":
         return canonicalize(annuli=[(ExactRadius.zero(), r)])
 
-    @staticmethod
-    def annulus(lo: ExactRadius, hi: ExactRadius) -> "RadialSet":
-        return canonicalize(annuli=[(lo, hi)])
-
     # --- queries -----------------------------------------------------------
 
     def radial_contains(self, r: ExactRadius) -> bool:
         return any(lo <= r <= hi for lo, hi in self.annuli)
 
-    def member(self, lam) -> bool:
-        """Exact membership for a SpectralPoint or RationalComplex."""
-        if isinstance(lam, RationalComplex):
-            lam = QPoint(lam)
-        if self.radial_contains(lam.modulus()):
-            return True
-        for z in self.points:
-            if z.is_zero:
-                if lam.is_zero:
-                    return True
-            elif not lam.is_zero and lam.pow_equals(1, z):
-                return True
-        for w, p in self.root_sets:
-            if not lam.is_zero and lam.pow_equals(p, w):
-                return True
-        return False
+    def member(self, lam: SpectralPoint) -> bool:
+        """Exact membership of a spectral point."""
+        return (self.radial_contains(lam.modulus())
+                or any(lam.pow_equals(p, w) for w, p in self.root_sets))
 
     def point_members(self) -> list[SpectralPoint]:
         """The finite point part as exact sample points."""
-        out: list[SpectralPoint] = [QPoint(z) for z in self.points]
-        for w, p in self.root_sets:
-            out.extend(RootPoint(w, p, j) for j in range(p))
-        return out
+        return [QPoint(w) if p == 1 else RootPoint(w, p, j)
+                for w, p in self.root_sets for j in range(p)]
 
     def issubset(self, other: "RadialSet") -> bool:
         for lo, hi in self.annuli:
@@ -100,37 +74,34 @@ class RadialSet:
 
     def max_radius(self) -> ExactRadius | None:
         """Largest modulus present, or None for the empty set."""
-        cands = [hi for _, hi in self.annuli]
-        cands += [ExactRadius(z.abs2(), 1) for z in self.points]
-        cands += [ExactRadius(w.abs2(), p) for w, p in self.root_sets]
-        return max(cands, default=None)
+        return max([hi for _, hi in self.annuli]
+                   + [_root_radius(rs) for rs in self.root_sets], default=None)
 
     def is_rotation_invariant(self) -> bool:
         """True when the point part is at most the origin."""
-        return not self.root_sets and all(z.is_zero for z in self.points)
+        return all(w.is_zero for w, _ in self.root_sets)
 
     # --- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
         return {
             "annuli": [[lo.to_json(), hi.to_json()] for lo, hi in self.annuli],
-            "points": [z.to_list() for z in self.points],
-            "root_sets": [w.to_list() + [p] for w, p in self.root_sets],
+            "points": [w.to_list() for w, p in self.root_sets if p == 1],
+            "root_sets": [w.to_list() + [p] for w, p in self.root_sets
+                          if p > 1],
         }
 
     def describe(self) -> str:
         parts = []
         for lo, hi in self.annuli:
-            if lo.is_zero and hi.is_zero:
-                parts.append("{0}")
-            elif lo.is_zero:
+            if lo.is_zero:
                 parts.append(f"disk r<={hi}")
             elif lo == hi:
                 parts.append(f"circle r={lo}")
             else:
                 parts.append(f"annulus {lo}<=r<={hi}")
-        parts += [f"{{{z}}}" for z in self.points]
-        parts += [f"{{z: z^{p}={w}}}" for w, p in self.root_sets]
+        parts += [f"{{{w}}}" if p == 1 else f"{{z: z^{p}={w}}}"
+                  for w, p in self.root_sets]
         return " u ".join(parts) if parts else "(empty)"
 
 
@@ -138,55 +109,39 @@ class RadialSet:
 # canonicalization
 
 
-def canonicalize(annuli=(), points=(), root_sets=()) -> RadialSet:
+def canonicalize(annuli=(), root_sets=()) -> RadialSet:
     ann: list[tuple[ExactRadius, ExactRadius]] = []
-    extra_origin = False
+    root_sets = list(root_sets)
     for lo, hi in annuli:
         if lo > hi:
             raise ValueError(f"annulus with lo > hi: [{lo}, {hi}]")
         if hi.is_zero:
-            extra_origin = True  # the degenerate disk [0, 0] is the origin
+            root_sets.append(ORIGIN)  # the degenerate disk [0, 0] is the origin
         else:
             ann.append((lo, hi))
     ann = _merge_annuli(ann)
-    points = list(points)
-    if extra_origin:
-        points.append(RationalComplex.of(0))
 
-    pts: list[RationalComplex] = []
-    for z in points:
-        if any(lo <= ExactRadius(z.abs2(), 1) <= hi for lo, hi in ann):
-            continue
-        if not any(z == q for q in pts):
-            pts.append(z)
-
+    # deduplicate first: two equal entries would each drop the other below
     roots: list[tuple[RationalComplex, int]] = []
-    for w, p in root_sets:
-        if w.is_zero:
-            if not any(lo.is_zero for lo, hi in ann) and not any(q.is_zero for q in pts):
-                pts.append(RationalComplex.of(0))
+    for rs in root_sets:
+        if rs[0].is_zero:
+            rs = ORIGIN  # z**p == 0 only at z == 0
+        if rs in roots:
             continue
-        if p == 1:
-            z = w
-            if not any(lo <= ExactRadius(z.abs2(), 1) <= hi for lo, hi in ann) \
-                    and not any(z == q for q in pts):
-                pts.append(z)
-            continue
-        if any(lo <= ExactRadius(w.abs2(), p) <= hi for lo, hi in ann):
-            continue
-        if not any(p == p2 and w == w2 for w2, p2 in roots):
-            roots.append((w, p))
+        r = _root_radius(rs)
+        if not any(lo <= r <= hi for lo, hi in ann):
+            roots.append(rs)
     # drop root sets already covered by another root set
-    roots = [rs for i, rs in enumerate(roots)
-             if not any(j != i and _root_subset(rs, other)
-                        for j, other in enumerate(roots))]
-    # drop rational points covered by a root set
-    pts = [z for z in pts
-           if z.is_zero or not any(QPoint(z).pow_equals(p, w) for w, p in roots)]
-
-    pts.sort(key=lambda z: (z.re, z.im))
+    roots = [a for a in roots
+             if not any(a != b and _root_subset(a, b) for b in roots)]
     roots.sort(key=lambda rp: (rp[1], rp[0].re, rp[0].im))
-    return RadialSet(annuli=tuple(ann), points=tuple(pts), root_sets=tuple(roots))
+    return RadialSet(annuli=tuple(ann), root_sets=tuple(roots))
+
+
+def _root_radius(rs: tuple[RationalComplex, int]) -> ExactRadius:
+    """The common modulus |W|**(1/p) of the root set (W, p)."""
+    w, p = rs
+    return ExactRadius(w.abs2(), p)
 
 
 def _merge_annuli(ann):
@@ -213,7 +168,9 @@ def root_intersection(a, b):
 
     Common roots of z^p1 == w1 and z^p2 == w2 satisfy z^g == w1^x w2^y for
     g = gcd(p1, p2) = x p1 + y p2; the candidate is the full intersection
-    exactly when it is consistent with both defining equations.
+    exactly when it is consistent with both defining equations.  With p1 or
+    p2 equal to 1 the Bezout exponents are 0 and 1, so the origin (0, 1) is
+    never raised to a negative power.
     """
     (w1, p1), (w2, p2) = a, b
     g = gcd(p1, p2)
@@ -241,9 +198,8 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
 
 
 def union(a: RadialSet, b: RadialSet) -> RadialSet:
-    return canonicalize(annuli=list(a.annuli) + list(b.annuli),
-                        points=list(a.points) + list(b.points),
-                        root_sets=list(a.root_sets) + list(b.root_sets))
+    return canonicalize(annuli=a.annuli + b.annuli,
+                        root_sets=a.root_sets + b.root_sets)
 
 
 def intersect(a: RadialSet, b: RadialSet) -> RadialSet:
@@ -254,37 +210,15 @@ def intersect(a: RadialSet, b: RadialSet) -> RadialSet:
             hi = hi1 if hi1 < hi2 else hi2
             if lo <= hi:
                 ann.append((lo, hi))
-    pts: list[RationalComplex] = []
-    roots: list[tuple[RationalComplex, int]] = []
-    for z in list(a.points):
-        if b.member(z):
-            pts.append(z)
-    for z in list(b.points):
-        if a.member(z):
-            pts.append(z)
-    for w, p in a.root_sets:
-        if b.radial_contains(ExactRadius(w.abs2(), p)):
-            roots.append((w, p))
-        else:
-            for w2, p2 in b.root_sets:
-                inter = root_intersection((w, p), (w2, p2))
-                if inter is not None:
-                    roots.append(inter)
-            for j in range(p):
-                rp = RootPoint(w, p, j)
-                for z in b.points:
-                    if not z.is_zero and rp.pow_equals(1, z):
-                        pts.append(z)
-    for w, p in b.root_sets:
-        if a.radial_contains(ExactRadius(w.abs2(), p)):
-            roots.append((w, p))
-        else:
-            for j in range(p):
-                rp = RootPoint(w, p, j)
-                for z in a.points:
-                    if not z.is_zero and rp.pow_equals(1, z):
-                        pts.append(z)
-    return canonicalize(annuli=ann, points=pts, root_sets=roots)
+    # a root set lies on one circle, so an annulus holds all of it or none
+    roots = [rs for rs in a.root_sets if b.radial_contains(_root_radius(rs))]
+    roots += [rs for rs in b.root_sets if a.radial_contains(_root_radius(rs))]
+    for ra in a.root_sets:
+        for rb in b.root_sets:
+            common = root_intersection(ra, rb)
+            if common is not None:
+                roots.append(common)
+    return canonicalize(annuli=ann, root_sets=roots)
 
 
 @dataclass(frozen=True)
@@ -321,23 +255,21 @@ def remove_open_gap_traces(s: RadialSet, gaps: list[RadialGap]) -> RadialSet:
         glo, ghi = gap.lo, gap.hi
         nxt = []
         for lo, hi in ann:
-            # keep [lo, hi] minus the open interval (glo, ghi)
+            # keep [lo, hi] minus the open interval (glo, ghi), where None
+            # is unbounded: a whole-plane gap keeps nothing
             if glo is not None and lo <= glo:
                 nxt.append((lo, hi if hi < glo else glo))
             if ghi is not None and hi >= ghi:
                 nxt.append((ghi if lo < ghi else lo, hi))
-            if glo is None and ghi is None:
-                pass  # whole-plane gap removes everything
         ann = nxt
-    pts = [z for z in s.points
-           if not any(_radius_in_gap(ExactRadius(z.abs2(), 1), g) for g in gaps)]
-    roots = [(w, p) for w, p in s.root_sets
-             if not any(_radius_in_gap(ExactRadius(w.abs2(), p), g) for g in gaps)]
-    return canonicalize(annuli=ann, points=pts, root_sets=roots)
+    roots = [rs for rs in s.root_sets
+             if not _in_gaps(_root_radius(rs), gaps)]
+    return canonicalize(annuli=ann, root_sets=roots)
 
 
-def _radius_in_gap(r: ExactRadius, gap: RadialGap) -> bool:
-    return ((gap.lo is None or r > gap.lo) and (gap.hi is None or r < gap.hi))
+def _in_gaps(r: ExactRadius, gaps: list[RadialGap]) -> bool:
+    return any((gap.lo is None or r > gap.lo) and (gap.hi is None or r < gap.hi)
+               for gap in gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ from .exact import (INF, CirclePoint, ExactRadius, QPoint, RationalComplex,
                     RootPoint, SpectralPoint, is_infinite, rational_between)
 from .model import OMEGA, ValidatedModel, core_sets
 from .oracle import chain_defect_dim, chain_kernel_dim
-from .radialset import (RadialSet, canonicalize, complement_components,
-                        intersect, remove_open_gap_traces, render_svg, union)
+from .radialset import (ORIGIN, RadialSet, canonicalize,
+                        complement_components, intersect,
+                        remove_open_gap_traces, render_svg, union)
 
 
 class InternalInconsistency(Exception):
@@ -224,10 +225,6 @@ def sigma_L(m: ValidatedModel) -> RadialSet:
     return canonicalize(annuli=ann, root_sets=roots)
 
 
-def sigma_total(m: ValidatedModel) -> RadialSet:
-    return union(sigma_M(m), sigma_L(m))
-
-
 # ---------------------------------------------------------------------------
 # pointwise classification
 
@@ -322,10 +319,9 @@ def essential_spectra(m: ValidatedModel) -> SpectralReport:
                if not roles.isdisjoint(_BREAKS_BOTH)]
     top = _top(m, "bundle")
     disk = [] if top is None else [(ExactRadius.zero(), top)]
-    origin = [RationalComplex.of(0)]
     s2 = canonicalize(annuli=circles + disk,
-                      points=origin if not z.upper else [])
-    s2p = canonicalize(annuli=circles, points=origin if not z.lower else [])
+                      root_sets=[] if z.upper else [ORIGIN])
+    s2p = canonicalize(annuli=circles, root_sets=[] if z.lower else [ORIGIN])
     s1 = intersect(s2, s2p)
     s3 = union(s2, s2p)
 
@@ -336,7 +332,7 @@ def essential_spectra(m: ValidatedModel) -> SpectralReport:
         strata.append(StratumRow(lo, hi, q, fd))
         if fd.index not in (None, 0) and hi is not None:
             s4_extra.append((lo, hi))
-    s4 = union(s3, canonicalize(annuli=s4_extra, points=origin))
+    s4 = union(s3, canonicalize(annuli=s4_extra, root_sets=[ORIGIN]))
 
     gaps = complement_components(s1)
     removed = []

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import ckspec
 from ckspec.cli import main
 from ckspec.fixtures import NAMES, fixture_text
 from ckspec.model import model_to_json, parse_model_json
@@ -143,7 +148,45 @@ def test_analyze_weights_beyond_the_int_digit_limit(fixture_file, tmp_path,
     assert main(["analyze", above, "--json"]) == 0
     out, err = capsys.readouterr()
     assert err == "" and re.search(r"\d{10000}", out)
+    # the self-check takes integer roots of these 5,000-digit numbers
+    start = time.perf_counter()
+    assert main(["analyze", above, "--self-check"]) == 0
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == ""
     assert sys.get_int_max_str_digits() == digit_cap
+
+
+def _cli_process(*args, **kwargs) -> subprocess.Popen:
+    """``ckspec`` in a fresh interpreter, importing this checkout."""
+    src = str(Path(ckspec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys; from ckspec.cli import main; sys.exit(main())"
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=env,
+                            stderr=subprocess.PIPE, **kwargs)
+
+
+def test_closed_stdout_is_no_input_error(fixture_file):
+    # the reader of the pipe is gone before the report is written
+    for args in (["analyze", fixture_file("half"), "--self-check"],
+                 ["analyze", fixture_file("per3_isolated"), "--json"],
+                 ["fixtures", "list"]):
+        proc = _cli_process(*args, stdout=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0, (args, err)
+        assert err == b"", args
+
+
+def test_missing_model_file_is_an_input_error(tmp_path):
+    missing = str(tmp_path / "nope.json")
+    proc = _cli_process("analyze", missing, stdout=subprocess.DEVNULL)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err.startswith("error: ") and "nope.json" in err
 
 
 def test_certify_in(fixture_file, capsys):
@@ -157,6 +200,26 @@ def test_certify_out(fixture_file, capsys):
     assert main(["certify", fixture_file("half"), "--lambda", "3/1,0/1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "OUT_neumann" and doc["margin"] < 1
+
+
+def test_certify_out_margins_beyond_float_range(tmp_path, capsys):
+    # |lambda|**2 / inf|w_1|**2 == 4 / 10**800 is far below the smallest
+    # double; the margins come from the exact ratio, which is below 1
+    path = tmp_path / "bigbare.json"
+    path.write_text(json.dumps({
+        "name": "bigbare",
+        "cycles": [{"id": "F", "weights": [[1, 1, 0, 1]]},
+                   {"id": "B", "weights": [[10**400, 1, 0, 1]]}],
+        "rays": [{"id": "R", "kind": "forward", "multiplicity": 1,
+                  "omega": {"cycle": "F", "phase": 0}}]}), "utf-8")
+    assert main(["certify", str(path), "--lambda=2,0"]) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert err == "" and doc["kind"] == "OUT_neumann" and doc["pass"]
+    assert doc["details"]["F"]["route"] == "neumann"
+    assert doc["details"]["F"]["margin"] == 0.5
+    assert doc["details"]["B"]["route"] == "inverse"
+    assert 0 <= doc["details"]["B"]["margin"] < 1
 
 
 def test_certify_chain_record(fixture_file, capsys):

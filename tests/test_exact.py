@@ -1,12 +1,40 @@
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from ckspec.exact import (CirclePoint, ExactRadius, QPoint, RationalComplex,
-                          RootPoint, fraction_nth_root, rational_between)
+                          RootPoint, _int_nth_root, fraction_nth_root,
+                          rational_between)
 from ckspec.radialset import canonicalize
 
 RC = RationalComplex.of
+
+
+def _bisect_nth_root(x: int, n: int) -> tuple[int, bool]:
+    """Reference floor of the n-th root: bisection, one bit per step."""
+    lo, hi = 0, 1 << ((x.bit_length() + n - 1) // n + 1)
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if mid**n <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo, lo**n == x
+
+
+def test_int_nth_root_matches_bisection():
+    rng = random.Random(5)
+    cases = [(rng.getrandbits(rng.choice([8, 64, 400, 3000])),
+              rng.randint(1, 120)) for _ in range(600)]
+    # exact powers and their neighbours, where an off-by-one would show
+    for _ in range(200):
+        n = rng.randint(2, 40)
+        r = rng.getrandbits(rng.choice([2, 20, 200]))
+        cases += [(max(r**n + d, 0), n) for d in (-1, 0, 1)]
+    cases += [(x, n) for x in range(70) for n in range(1, 8)]
+    for x, n in cases:
+        assert _int_nth_root(x, n) == _bisect_nth_root(x, n), (x, n)
 
 
 def test_fraction_nth_root():
@@ -87,7 +115,7 @@ def test_root_point_power_and_equality():
     assert r0.pow_equals(3, RC(8)) and r1.pow_equals(3, RC(8))
     assert r0.pow_equals(1, RC(2))
     assert not r1.pow_equals(1, RC(2))
-    two = canonicalize(points=[RC(2)])
+    two = canonicalize(root_sets=[(RC(2), 1)])
     assert two.member(r0) and not two.member(r1)
     # every cube root of 8 is a sixth root of 64
     assert r1.pow_equals(6, RC(64))

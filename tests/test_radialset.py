@@ -11,20 +11,22 @@ from ckspec.radialset import (RadialSet, _root_subset, canonicalize,
 
 RC = RationalComplex.of
 ER = ExactRadius.from_fraction
+ORIGIN = canonicalize(root_sets=[(RC(0), 1)])
 
 
 def test_merge_touching():
     s = canonicalize(annuli=[(ER(0), ER(1)), (ER(1), ER(1))])
     assert s == RadialSet.disk(ER(1))
     s2 = canonicalize(annuli=[(ER(1), ER(2)), (ER(2), ER(3))])
-    assert s2 == RadialSet.annulus(ER(1), ER(3))
+    assert s2 == canonicalize(annuli=[(ER(1), ER(3))])
 
 
 def test_point_outside_disk_kept():
-    s = canonicalize(annuli=[(ER(0), ER(1))], points=[RC(2)])
-    assert len(s.points) == 1 and len(s.annuli) == 1
-    s2 = canonicalize(annuli=[(ER(0), ER(1))], points=[RC(Fraction(1, 2))])
-    assert s2.points == ()
+    s = canonicalize(annuli=[(ER(0), ER(1))], root_sets=[(RC(2), 1)])
+    assert s.root_sets == ((RC(2), 1),) and len(s.annuli) == 1
+    s2 = canonicalize(annuli=[(ER(0), ER(1))],
+                      root_sets=[(RC(Fraction(1, 2)), 1)])
+    assert s2.root_sets == ()
 
 
 def test_invalid_interval():
@@ -33,18 +35,19 @@ def test_invalid_interval():
 
 
 def test_degenerate_zero_annulus_is_origin():
-    assert canonicalize(annuli=[(ER(0), ER(0))]) == RadialSet.origin()
+    s = canonicalize(annuli=[(ER(0), ER(0))])
+    assert s == ORIGIN and s.annuli == () and s.root_sets == ((RC(0), 1),)
 
 
 def test_union_intersect_disk_circle():
     disk = RadialSet.disk(ER(1))
     circle = RadialSet.circle(ER(1))
     assert intersect(disk, circle) == circle
-    assert union(disk, RadialSet.empty()) == disk
+    assert union(disk, RadialSet()) == disk
 
 
 def test_member_annulus():
-    s = RadialSet.annulus(ER(1), ER(2))
+    s = canonicalize(annuli=[(ER(1), ER(2))])
     assert s.member(QPoint.of(Fraction(3, 2)))
     assert not s.member(QPoint.of(Fraction(1, 2)))
     assert s.member(QPoint.of(0, 1))
@@ -63,9 +66,12 @@ def test_root_set_membership_and_absorption():
 
 def test_root_set_p1_becomes_point():
     s = canonicalize(root_sets=[(RC(5), 1)])
-    assert s.points == (RC(5),) and s.root_sets == ()
+    assert s.root_sets == ((RC(5), 1),)
+    assert s.to_json()["points"] == [[5, 1, 0, 1]]
+    assert s.to_json()["root_sets"] == []
+    assert s.describe() == "{5}"
     z = canonicalize(root_sets=[(RC(0), 4)])
-    assert z == RadialSet.origin()
+    assert z == ORIGIN and z.root_sets == ((RC(0), 1),)
 
 
 def test_root_subset_matches_membership():
@@ -94,6 +100,29 @@ def test_root_intersection():
     assert intersect(s1, s2) == s1
 
 
+def test_root_intersection_with_the_origin():
+    # with a period of 1 the Bezout exponents are 0 and 1, so the origin is
+    # never raised to a negative power
+    origin = (RC(0), 1)
+    assert root_intersection(origin, origin) == origin
+    for rs in [(RC(8), 3), (RC(-4), 2), (RC(0, 1), 4), (RC(5), 1)]:
+        assert root_intersection(origin, rs) is None
+        assert root_intersection(rs, origin) is None
+    assert intersect(ORIGIN, ORIGIN) == ORIGIN
+    assert intersect(ORIGIN, canonicalize(root_sets=[(RC(8), 3)])) == RadialSet()
+
+
+def test_root_sets_sort_points_first():
+    s = canonicalize(root_sets=[(RC(27), 3), (RC(4), 2), (RC(-1), 1),
+                                (RC(0), 2), (RC(5), 1), (RC(16), 4), (RC(2), 1),
+                                (RC(5), 1)])
+    # (2, 1) lies in z**2 == 4 and in z**4 == 16, and z**2 == 4 in z**4 == 16
+    assert s.root_sets == ((RC(-1), 1), (RC(0), 1), (RC(5), 1), (RC(27), 3),
+                           (RC(16), 4))
+    assert s.to_json()["points"] == [[-1, 1, 0, 1], [0, 1, 0, 1], [5, 1, 0, 1]]
+    assert s.describe() == "{-1} u {0} u {5} u {z: z^3=27} u {z: z^4=16}"
+
+
 def test_complement_components():
     circle = RadialSet.circle(ER(1))
     gaps = complement_components(circle)
@@ -103,7 +132,7 @@ def test_complement_components():
     disk = RadialSet.disk(ER(1))
     gaps = complement_components(disk)
     assert len(gaps) == 1 and gaps[0].hi is None
-    ann = RadialSet.annulus(ER(1), ER(2))
+    ann = canonicalize(annuli=[(ER(1), ER(2))])
     gaps = complement_components(ann)
     assert [(g.lo is None, g.hi is None) for g in gaps] == [(True, False),
                                                             (False, True)]
@@ -122,12 +151,13 @@ def test_max_radius_and_rotation_invariance():
     assert s.max_radius() == ER(2)
     assert not s.is_rotation_invariant()
     assert RadialSet.disk(ER(1)).is_rotation_invariant()
-    assert canonicalize(points=[RC(0)]).is_rotation_invariant()
+    assert ORIGIN.is_rotation_invariant()
+    assert not canonicalize(root_sets=[(RC(3), 1)]).is_rotation_invariant()
 
 
 def test_json_shape():
-    s = canonicalize(annuli=[(ER(1), ER(2))], points=[RC(5)],
-                     root_sets=[(RC(27), 3)])
+    s = canonicalize(annuli=[(ER(1), ER(2))],
+                     root_sets=[(RC(5), 1), (RC(27), 3)])
     j = s.to_json()
     assert j["annuli"] == [[[1, 1, 1], [4, 1, 1]]]
     assert j["points"] == [[5, 1, 0, 1]]
@@ -151,6 +181,9 @@ point_st = st.builds(
     st.integers(-6, 6), st.integers(1, 4),
     st.integers(-6, 6), st.integers(1, 4))
 
+# the origin on its own, so that it is drawn often
+point_or_origin_st = st.one_of(st.just(RC(0)), point_st)
+
 
 @st.composite
 def radial_sets(draw):
@@ -159,13 +192,10 @@ def radial_sets(draw):
         a = draw(radius_st)
         b = draw(radius_st)
         ann.append((a, b) if a <= b else (b, a))
-    pts = draw(st.lists(point_st, max_size=3))
-    roots = []
+    roots = [(z, 1) for z in draw(st.lists(point_or_origin_st, max_size=3))]
     for _ in range(draw(st.integers(0, 2))):
-        w = draw(point_st)
-        if not w.is_zero:
-            roots.append((w, draw(st.integers(1, 3))))
-    return canonicalize(annuli=ann, points=pts, root_sets=roots)
+        roots.append((draw(point_or_origin_st), draw(st.integers(1, 4))))
+    return canonicalize(annuli=ann, root_sets=roots)
 
 
 @given(radial_sets(), radial_sets())
@@ -186,15 +216,18 @@ def test_union_associative(a, b, c):
 @given(radial_sets(), radial_sets(), point_st)
 @settings(max_examples=80, deadline=None)
 def test_member_respects_union_and_intersection(a, b, z):
-    lam = QPoint(z)
-    assert union(a, b).member(lam) == (a.member(lam) or b.member(lam))
-    assert intersect(a, b).member(lam) == (a.member(lam) and b.member(lam))
+    u, i = union(a, b), intersect(a, b)
+    # a drawn point seldom lands on a root, so also probe every point of
+    # either operand, and the origin
+    for lam in [QPoint(z), QPoint(RC(0))] + a.point_members() + b.point_members():
+        assert u.member(lam) == (a.member(lam) or b.member(lam)), lam
+        assert i.member(lam) == (a.member(lam) and b.member(lam)), lam
 
 
 @given(radial_sets())
 @settings(max_examples=60, deadline=None)
 def test_canonicalize_idempotent(s):
-    again = canonicalize(annuli=s.annuli, points=s.points, root_sets=s.root_sets)
+    again = canonicalize(annuli=s.annuli, root_sets=s.root_sets)
     assert again == s and again.annuli == s.annuli
 
 

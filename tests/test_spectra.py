@@ -4,7 +4,7 @@ from ckspec.exact import INF, ExactRadius, QPoint, RationalComplex
 from ckspec.fixtures import NAMES, load_fixture
 from ckspec.radialset import RadialSet, canonicalize, intersect, union
 from ckspec.spectra import (essential_spectra, fredholm_data, self_check,
-                            sigma_L, sigma_M, sigma_total, zero_analysis)
+                            sigma_L, sigma_M, zero_analysis)
 
 RC = RationalComplex.of
 ER = ExactRadius.from_fraction
@@ -12,26 +12,29 @@ Q = QPoint.of
 
 DISK1 = RadialSet.disk(ER(1))
 CIRCLE1 = RadialSet.circle(ER(1))
+ORIGIN = canonicalize(root_sets=[(RC(0), 1)])
 
 
 def test_sigma_m_examples():
     assert sigma_M(load_fixture("half")) == DISK1
-    assert sigma_M(load_fixture("bundlezero")) == RadialSet.origin()
+    assert sigma_M(load_fixture("bundlezero")) == ORIGIN
     assert sigma_M(load_fixture("twocyc")) == RadialSet.disk(ER(Fraction(1, 2)))
 
 
 def test_sigma_l_examples():
-    assert sigma_L(load_fixture("half")) == RadialSet.point(RC(1))
+    assert sigma_L(load_fixture("half")) == canonicalize(root_sets=[(RC(1), 1)])
     per3 = sigma_L(load_fixture("per3_isolated"))
-    assert per3.root_sets == ((RC(8), 3),)
-    assert sigma_L(load_fixture("twocyc")) == RadialSet.annulus(
-        ER(Fraction(1, 2)), ER(2))
+    assert per3.root_sets == ((RC(1), 1), (RC(8), 3))
+    assert sigma_L(load_fixture("twocyc")) == canonicalize(
+        annuli=[(ER(Fraction(1, 2)), ER(2))])
 
 
 def test_sigma_total_examples():
-    assert sigma_total(load_fixture("half")) == DISK1
-    assert sigma_total(load_fixture("ray1")) == DISK1
-    assert sigma_total(load_fixture("twocyc")) == RadialSet.disk(ER(2))
+    for name, total in [("half", DISK1), ("ray1", DISK1),
+                        ("twocyc", RadialSet.disk(ER(2)))]:
+        m = load_fixture(name)
+        assert union(sigma_M(m), sigma_L(m)) == total
+        assert essential_spectra(m).sigma == total
 
 
 def test_half_matches_known_closed_forms():
@@ -98,11 +101,10 @@ def test_zero_fixture_report():
 
 def test_bundlezero_report():
     rep = essential_spectra(load_fixture("bundlezero"))
-    origin = RadialSet.origin()
-    assert rep.sigma == origin
+    assert rep.sigma == ORIGIN
     for s in (rep.sigma_1, rep.sigma_2, rep.sigma_2_prime, rep.sigma_3,
               rep.sigma_4, rep.sigma_5):
-        assert s == origin
+        assert s == ORIGIN
     z = rep.zero
     assert not z.upper and not z.lower
     assert z.dim_ker == INF and z.defect == INF
