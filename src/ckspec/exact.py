@@ -20,6 +20,7 @@ real and imaginary parts decide.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,6 +60,19 @@ def fraction_nth_root(q: Fraction, n: int) -> Fraction | None:
     if not okd:
         return None
     return Fraction(rn, rd)
+
+
+def root_float(q: Fraction, n: int) -> float:
+    """q**(1/n) as a float, for a nonnegative rational q whose root is in the
+    float range, even where q itself is not."""
+    num, den = q.numerator, q.denominator
+    try:
+        x = num / den
+    except OverflowError:
+        x = math.inf
+    if num and not sys.float_info.min <= x < math.inf:
+        return math.exp((math.log(num) - math.log(den)) / n)
+    return x ** (1.0 / n)
 
 
 def _divisors(n: int):
@@ -221,9 +235,11 @@ class ExactRadius:
         return self.sq == 0
 
     def cmp(self, other: "ExactRadius") -> int:
-        """Sign of self - other, decided over the integers."""
-        a = self.sq**other.p
-        b = other.sq**self.p
+        """Sign of self - other, decided over the integers: the sign of
+        self.sq**other.p - other.sq**self.p, cross-multiplied."""
+        (n1, d1), (n2, d2) = self.sq.as_integer_ratio(), other.sq.as_integer_ratio()
+        a = n1**other.p * d2**self.p
+        b = n2**self.p * d1**other.p
         return (a > b) - (a < b)
 
     def __lt__(self, o):
@@ -245,11 +261,7 @@ class ExactRadius:
         return fraction_nth_root(self.sq, 2)
 
     def __float__(self) -> float:
-        num, den = self.sq.numerator, self.sq.denominator
-        try:
-            return (num / den) ** (1.0 / (2 * self.p))
-        except OverflowError:
-            return math.exp((math.log(num) - math.log(den)) / (2 * self.p))
+        return root_float(self.sq, 2 * self.p)
 
     def __str__(self) -> str:
         r = self.rational_value()

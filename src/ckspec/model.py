@@ -94,7 +94,7 @@ class Cycle:
     def _gm(self) -> ExactRadius:
         return ExactRadius(self.weight_product().abs2(), self.period)
 
-    @property
+    @cached_property
     def has_zero_weight(self) -> bool:
         return any(w.is_zero for w in self.weights)
 
@@ -149,6 +149,17 @@ class ValidatedModel:
             self._omega_incident[r.omega.cycle].append(r)
             if r.alpha is not None:
                 self._alpha_incident[r.alpha.cycle].append(r)
+        self._derived: dict = {}
+
+    def derived(self, build):
+        """build(self), computed on the first call and kept on this model.
+
+        Other layers keep here what they derive from a model, keyed by the
+        function that builds it, so it lives exactly as long as the model.
+        """
+        if build not in self._derived:
+            self._derived[build] = build(self)
+        return self._derived[build]
 
     # --- structure queries -------------------------------------------------
 

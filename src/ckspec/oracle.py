@@ -24,6 +24,7 @@ above are exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,6 +72,34 @@ def _active(m: ValidatedModel, lam: SpectralPoint, cid: str) -> bool:
     if w.is_zero:
         return False
     return lam.pow_equals(cyc.period, w)
+
+
+def _radius_index(m: ValidatedModel):
+    """(radii, rank, at): the distinct cycle radii in increasing order, the
+    rank of each cycle's radius among them, and the cycle ids at each
+    radius.  Radii are kept reduced, so equal radii hash equal."""
+    at = defaultdict(list)
+    for cid, cyc in m.cycles.items():
+        at[cyc.gm()].append(cid)
+    radii = sorted(at)
+    rank = {cid: j for j, r in enumerate(radii) for cid in at[r]}
+    return radii, rank, dict(at)
+
+
+def _placement(m: ValidatedModel, lam: SpectralPoint):
+    """(side, actives) for nonzero lam: side(cid) is the sign of the cycle's
+    radius minus |lam|, from one ranking of |lam| among the cycle radii, and
+    actives are the cycles resonant with lam.  lam**p == W forces
+    |lam| == |W|**(1/p), so only the cycles at radius |lam| are tested."""
+    radii, rank, at = m.derived(_radius_index)
+    mod = lam.modulus()
+    below, above = bisect_left(radii, mod), bisect_right(radii, mod)
+
+    def side(cid: str) -> int:
+        j = rank[cid]
+        return -1 if j < below else 1 if j >= above else 0
+
+    return side, {cid for cid in at.get(mod, ()) if _active(m, lam, cid)}
 
 
 def _pattern(m: ValidatedModel, cid: str) -> list[Mono]:
@@ -144,38 +173,37 @@ def chain_kernel_dim(m: ValidatedModel, lam: SpectralPoint, l_only: bool = False
     """dim ker(lam I - T), restricted to the eventual image when l_only."""
     if lam.is_zero:
         return _kernel_dim_at_zero(m, l_only)
-    mod = lam.modulus()
+    side, actives = _placement(m, lam)
     total = 0
     infinite = False
     if not l_only:
         for ray in m.forward_rays():
-            if mod < m.cycle(ray.omega.cycle).gm():
+            if side(ray.omega.cycle) > 0:  # |lam| < g_omega
                 if ray.multiplicity == OMEGA:
                     infinite = True
                 else:
                     total += ray.multiplicity
-    actives = {cid for cid in m.cycles if _active(m, lam, cid)}
     killed: set = set()
     edges = []
     for ray in m.two_sided_rays():
-        g_w = m.cycle(ray.omega.cycle).gm()
-        g_a = m.cycle(ray.alpha.cycle).gm()
+        s_w = side(ray.omega.cycle)  # sign of g_omega - |lam|
+        s_a = side(ray.alpha.cycle)  # sign of g_alpha - |lam|
         w_act = ray.omega.cycle in actives
         a_act = ray.alpha.cycle in actives
         if m.ray_has_zero(ray):
             # the chain is cut at the last zero: everything below it vanishes
-            if mod < g_w:
+            if s_w > 0:
                 total += 1
             if a_act:
                 killed.add(ray.alpha.cycle)
         elif not w_act and not a_act:
-            if g_a < mod < g_w:
+            if s_a < 0 < s_w:
                 total += 1
         elif w_act and not a_act:
-            if not g_a < mod:
+            if s_a >= 0:
                 killed.add(ray.omega.cycle)
         elif a_act and not w_act:
-            if not mod < g_w:
+            if s_w <= 0:
                 killed.add(ray.alpha.cycle)
         else:
             edges.append((ray.omega.cycle, ray.alpha.cycle,
@@ -217,15 +245,14 @@ def chain_defect_dim(m: ValidatedModel, lam: SpectralPoint, l_only: bool = False
     and the chain propagates forward only."""
     if lam.is_zero:
         return _defect_dim_at_zero(m, l_only)
-    mod = lam.modulus()
-    total = sum(1 for cid in m.cycles if _active(m, lam, cid))
+    side, actives = _placement(m, lam)
+    total = len(actives)
     for ray in m.two_sided_rays():
-        g_w = m.cycle(ray.omega.cycle).gm()
-        g_a = m.cycle(ray.alpha.cycle).gm()
+        s_a = side(ray.alpha.cycle)
         if m.ray_has_zero(ray):
-            if mod < g_a:
+            if s_a > 0:  # |lam| < g_alpha
                 total += 1
-        elif g_w < mod < g_a:
+        elif side(ray.omega.cycle) < 0 < s_a:  # g_omega < |lam| < g_alpha
             total += 1
     return total
 
@@ -278,25 +305,32 @@ def _pass_threshold(n: int, eps: float) -> float:
     return max(5.0 / math.sqrt(n), eps)
 
 
-def _window_weights(m: ValidatedModel, ray: Ray, copy: int, lo: int, hi: int):
-    return {i: m.ray_weight(ray, i, copy).to_complex() for i in range(lo, hi + 1)}
+def _locked_weights(m: ValidatedModel, ray: Ray, base: int):
+    """i -> the weight at ray index i as a complex, for the indices on the
+    side of base (base >= 0: the omega side, else the alpha side) that lie
+    past its lock bound, or on a copy without overrides.  There the ray
+    follows a cycle, so one period is converted once and indexed modulo the
+    period."""
+    anchor = ray.omega if ray.is_forward or base >= 0 else ray.alpha
+    per = [w.to_complex() for w in m.cycle(anchor.cycle).weights]
+    return lambda i: per[(anchor.phase + i) % len(per)]
 
 
-def _upper_window_certificate(m, lam, ray, copy, base, n, eps) -> Certificate:
+def _upper_window_certificate(m, lam, ray, base, n, eps) -> Certificate:
     """Eq-style windowed bump along phi-preimages of a deep tail point."""
     lamc = lam.to_complex()
     s = 1.0 / math.sqrt(n)
-    w = _window_weights(m, ray, copy, base - 2 * n - 1, base)
+    w = _locked_weights(m, ray, base)
     coeff = {}
     u = 1.0 + 0.0j  # lam**(-i) * w_i(k_{base-i}), maintained incrementally
     for i in range(0, 2 * n + 1):
         if i > 0:
-            u = u * w[base - i] / lamc
+            u = u * w(base - i) / lamc
         coeff[base - i] = (1.0 - s) ** abs(i - n) * u
     norm = max(abs(c) for c in coeff.values())
     resid = 0.0
     for j in range(base - 2 * n - 1, base + 1):
-        tv = w[j] * coeff.get(j + 1, 0.0) - lamc * coeff.get(j, 0.0)
+        tv = w(j) * coeff.get(j + 1, 0.0) - lamc * coeff.get(j, 0.0)
         resid = max(resid, abs(tv))
     ratio = resid / norm
     return Certificate("IN_upper", str(lam), n, ratio <= _pass_threshold(n, eps),
@@ -304,21 +338,21 @@ def _upper_window_certificate(m, lam, ray, copy, base, n, eps) -> Certificate:
                        details={"ray": ray.id, "base_index": base})
 
 
-def _lower_window_certificate(m, lam, ray, copy, base, n, eps) -> Certificate:
+def _lower_window_certificate(m, lam, ray, base, n, eps) -> Certificate:
     """Dual windowed bump pushed forward along the ray."""
     lamc = lam.to_complex()
     s = 1.0 / math.sqrt(n)
-    w = _window_weights(m, ray, copy, base, base + 2 * n + 1)
+    w = _locked_weights(m, ray, base)
     coeff = {}
     u = 1.0 + 0.0j  # lam**(-i) * w_i(k_base)
     for i in range(0, 2 * n + 1):
         if i > 0:
-            u = u * w[base + i - 1] / lamc
+            u = u * w(base + i - 1) / lamc
         coeff[base + i] = (1.0 - s) ** abs(i - n) * u
     norm = sum(abs(c) for c in coeff.values())
     resid = 0.0
     for j in range(base, base + 2 * n + 2):
-        tv = w[j - 1] * coeff.get(j - 1, 0.0) if j - 1 in coeff else 0.0
+        tv = w(j - 1) * coeff.get(j - 1, 0.0) if j - 1 in coeff else 0.0
         tv -= lamc * coeff.get(j, 0.0)
         resid += abs(tv)
     ratio = resid / norm
@@ -327,19 +361,19 @@ def _lower_window_certificate(m, lam, ray, copy, base, n, eps) -> Certificate:
                        details={"ray": ray.id, "base_index": base})
 
 
-def _eigenvector_certificate(m, lam, ray, copy, n, eps, kind) -> Certificate:
-    """Exact decaying eigenvector on a ray copy in the |lam| < gm regime,
-    truncated at the horizon; the only residual is the cut."""
+def _eigenvector_certificate(m, lam, ray, n, eps, kind) -> Certificate:
+    """Exact decaying eigenvector on a bundle copy without overrides in the
+    |lam| < gm regime, truncated at the horizon; the only residual is the
+    cut."""
     lamc = lam.to_complex()
+    w = _locked_weights(m, ray, 0)
     coeff = {0: 1.0 + 0.0j}
     for i in range(n):
-        v = m.ray_weight(ray, i, copy).to_complex()
-        coeff[i + 1] = lamc * coeff[i] / v
+        coeff[i + 1] = lamc * coeff[i] / w(i)
     norm = max(abs(c) for c in coeff.values())
     resid = 0.0
     for j in range(0, n + 1):
-        v = m.ray_weight(ray, j, copy).to_complex()
-        tv = v * coeff.get(j + 1, 0.0) - lamc * coeff[j]
+        tv = w(j) * coeff.get(j + 1, 0.0) - lamc * coeff[j]
         resid = max(resid, abs(tv))
     ratio = resid / norm
     return Certificate(kind, str(lam), n, ratio <= _pass_threshold(n, eps),
@@ -380,9 +414,9 @@ def in_certificate(m: ValidatedModel, lam: SpectralPoint, side: str,
             # windows sit past the lock index, where every copy is locked
             _, lock_pos = m.lock_bounds(ray)
             if side == "upper":
-                return _upper_window_certificate(m, lam, ray, 0,
+                return _upper_window_certificate(m, lam, ray,
                                                  lock_pos + 2 * n + 1, n, eps)
-            return _lower_window_certificate(m, lam, ray, 0, lock_pos, n, eps)
+            return _lower_window_certificate(m, lam, ray, lock_pos, n, eps)
         for ray in m.incident_rays(cid):
             if not ray.is_two_sided:
                 continue
@@ -390,16 +424,15 @@ def in_certificate(m: ValidatedModel, lam: SpectralPoint, side: str,
             on_omega = ray.omega.cycle == cid
             if side == "upper":
                 base = lock_pos + 2 * n + 1 if on_omega else lock_neg
-                return _upper_window_certificate(m, lam, ray, 0, base, n, eps)
+                return _upper_window_certificate(m, lam, ray, base, n, eps)
             base = lock_pos if on_omega else lock_neg - 2 * n - 1
-            return _lower_window_certificate(m, lam, ray, 0, base, n, eps)
+            return _lower_window_certificate(m, lam, ray, base, n, eps)
     if side == "upper":
-        # disk interior: per-copy exact eigenvectors under a countable bundle
+        # disk interior: exact eigenvectors on the copies of a countable
+        # bundle that carry no overrides (all but copy 0, when it has some)
         for ray in m.forward_rays():
             if ray.multiplicity == OMEGA and r < m.cycle(ray.omega.cycle).gm():
-                copy = 1 if ray.exceptional else 0
-                return _eigenvector_certificate(m, lam, ray, copy, n, eps,
-                                                "IN_upper")
+                return _eigenvector_certificate(m, lam, ray, n, eps, "IN_upper")
     raise NoEligibleOrbit(f"no witness orbit for lam = {lam} ({side})")
 
 

@@ -16,11 +16,11 @@ disconnect a planar open set, so the point part only punctures gaps).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import gcd
 
 from .exact import (RC_ZERO, ExactRadius, QPoint, RationalComplex,
-                    RootPoint, SpectralPoint)
+                    RootPoint, SpectralPoint, root_float)
 
 ORIGIN = (RC_ZERO, 1)  # the root set {z : z**1 == 0}
 
@@ -173,7 +173,7 @@ def root_intersection(a, b):
     never raised to a negative power.
     """
     (w1, p1), (w2, p2) = a, b
-    g = gcd(p1, p2)
+    g = math.gcd(p1, p2)
     x, y = _bezout(p1, p2)
     u = (w1**x) * (w2**y)
     if u**(p1 // g) == w1 and u**(p2 // g) == w2:
@@ -276,14 +276,29 @@ def _in_gaps(r: ExactRadius, gaps: list[RadialGap]) -> bool:
 # SVG rendering
 
 
+def _angle(z: RationalComplex) -> float:
+    """arg z, from its parts scaled into the float range."""
+    big = max(abs(z.re), abs(z.im))
+    if not big:
+        return 0.0
+    return math.atan2(float(z.im / big), float(z.re / big))
+
+
 def render_svg(named_sets: list[tuple[str, RadialSet]], size: int = 240) -> str:
-    """Small-multiple plot: one panel per named set, annuli as rings."""
-    rmax = 1.0
+    """Small-multiple plot: one panel per named set, annuli as rings.
+
+    Every radius enters as its exact ratio to the largest one, so radii
+    beyond the float range plot too."""
+    rmax = ExactRadius.from_fraction(1)
     for _, s in named_sets:
         mr = s.max_radius()
-        if mr is not None:
-            rmax = max(rmax, float(mr))
-    scale = (size / 2 - 12) / rmax
+        if mr is not None and mr > rmax:
+            rmax = mr
+    px = size / 2 - 12  # the length of rmax in pixels
+
+    def scaled(r: ExactRadius) -> float:
+        return px * root_float(r.sq**rmax.p / rmax.sq**r.p, 2 * r.p * rmax.p)
+
     panels = []
     for idx, (name, s) in enumerate(named_sets):
         cx = idx * size + size / 2
@@ -291,7 +306,7 @@ def render_svg(named_sets: list[tuple[str, RadialSet]], size: int = 240) -> str:
         shapes = [f'<circle cx="{cx}" cy="{cy}" r="{size/2 - 4}" fill="none" '
                   f'stroke="#ddd"/>']
         for lo, hi in s.annuli:
-            ro, ri = float(hi) * scale, float(lo) * scale
+            ro, ri = scaled(hi), scaled(lo)
             if ro <= 0:
                 ro = 1.5
             if lo == hi:
@@ -307,10 +322,14 @@ def render_svg(named_sets: list[tuple[str, RadialSet]], size: int = 240) -> str:
             label = str(hi)
             shapes.append(f'<text x="{cx + 4}" y="{cy - ro - 2}" '
                           f'font-size="9">{label}</text>')
-        for pt in s.point_members():
-            z = pt.to_complex()
-            shapes.append(f'<circle cx="{cx + z.real*scale}" '
-                          f'cy="{cy - z.imag*scale}" r="2.5" fill="#d62728"/>')
+        for rs in s.root_sets:
+            w, p = rs
+            rad = scaled(_root_radius(rs))
+            for j in range(p):
+                theta = (_angle(w) + 2 * math.pi * j) / p
+                shapes.append(f'<circle cx="{cx + rad * math.cos(theta)}" '
+                              f'cy="{cy - rad * math.sin(theta)}" r="2.5" '
+                              f'fill="#d62728"/>')
         shapes.append(f'<text x="{cx}" y="{size - 4}" text-anchor="middle" '
                       f'font-size="11">{name}</text>')
         panels.append("".join(shapes))

@@ -15,12 +15,34 @@ stratum pins the Fredholm index there; Browder removal keeps only those
 complement components of the semi-Fredholm spectrum that stay inside the
 spectrum.
 
+Off the critical circles no cycle resonates (lam**p == W forces
+|lam| == |W|**(1/p), a critical radius), so the kernel and the defect of
+lam I - T depend only on where each ray's end radii g_alpha and g_omega lie
+relative to |lam|.  With j(c) the rank of cycle c's radius in the critical
+table and stratum i the open annulus between the radii of ranks i and i+1,
+each ray adds to a run of strata:
+
+* a forward ray adds its multiplicity to the kernel on strata
+  0 .. j(omega)-1, where |lam| < g_omega; an omega-bundle makes the kernel
+  infinite there;
+* a two-sided ray with a vanishing weight is cut into two half chains: it
+  adds 1 to the kernel on strata 0 .. j(omega)-1 and 1 to the defect on
+  strata 0 .. j(alpha)-1;
+* any other two-sided ray adds 1 to the kernel on strata j(alpha) ..
+  j(omega)-1, where g_alpha < |lam| < g_omega, and 1 to the defect on strata
+  j(omega) .. j(alpha)-1, where g_omega < |lam| < g_alpha.
+
+One difference sweep over the ranks sums these runs for every stratum at
+once.  On a critical circle resonances can link cycles, and the dimensions
+come from the chain solvers of :mod:`ckspec.oracle` instead.
+
 Every region decision made here is re-verifiable pointwise against the chain
-solvers in :mod:`ckspec.oracle`; ``self_check`` runs that grid.
+solvers; ``self_check`` runs that grid.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -281,10 +303,20 @@ def fredholm_data(m: ValidatedModel, lam: SpectralPoint) -> FredholmData:
     dim_ker/defect are the dimensions of ker(lam I - T) and ker(lam I - T'),
     assembled as eventual-image part plus transient sources; they equal the
     codimension data whenever the corresponding semi-Fredholm flag holds.
+    Off the critical circles they are read from the stratum sweep (see the
+    module docstring): one bisection finds the stratum of |lam|.  On a
+    critical circle, where cycles may resonate with lam, they come from the
+    chain solvers.
     """
     if lam.is_zero:
         z = zero_analysis(m)
         return FredholmData("0", z.upper, z.lower, z.dim_ker, z.defect, z.index)
+    mod = lam.modulus()
+    if mod not in m.critical:
+        strata = m.derived(_strata)
+        st = strata[bisect_right(strata, mod, key=lambda row: row.lo) - 1]
+        return FredholmData(str(lam), st.upper, True, st.dim_ker, st.defect,
+                            st.dim_ker - st.defect if st.upper else None)
     upper = _upper_at(m, lam)
     lower = _lower_at(m, lam)
     dim_ker = _dim_add(chain_kernel_dim(m, lam, l_only=True), _heads_above(m, lam))
@@ -299,12 +331,62 @@ def fredholm_data(m: ValidatedModel, lam: SpectralPoint) -> FredholmData:
 # assembly
 
 
-def _strata(m: ValidatedModel):
-    """(lo, hi, sample) for each open radial stratum between consecutive
-    critical radii; hi is None above the largest."""
+@dataclass(frozen=True)
+class _Stratum:
+    """An open radial stratum (lo, hi) between consecutive critical radii
+    (hi is None above the largest), its exact rational sample, and the
+    dimensions and upper flag that hold on all of it."""
+
+    lo: ExactRadius
+    hi: ExactRadius | None
+    sample: Fraction
+    dim_ker: object  # int or INF
+    defect: int
+    upper: bool
+
+
+def _strata(m: ValidatedModel) -> list[_Stratum]:
+    """Every open stratum of the model: the per-ray runs of the module
+    docstring, summed in one difference sweep over the ranks of the critical
+    radii.  Read it through ``m.derived(_strata)``, which computes it once
+    per model."""
     radii = list(m.critical)
-    return [(lo, hi, rational_between(lo, hi))
-            for lo, hi in zip(radii, radii[1:] + [None])]
+    rank = {r: j for j, r in enumerate(radii)}
+    ker = [0] * (len(radii) + 1)
+    dfc = [0] * (len(radii) + 1)
+    below_bundle = 0  # strata below this rank lie inside a bundle cluster
+
+    def run(diff, lo, hi, v=1):
+        if lo < hi:
+            diff[lo] += v
+            diff[hi] -= v
+
+    for ray in m.raw.rays:
+        j_w = rank[m.cycle(ray.omega.cycle).gm()]
+        if ray.is_forward:
+            if ray.multiplicity == OMEGA:
+                below_bundle = max(below_bundle, j_w)
+            else:
+                run(ker, 0, j_w, ray.multiplicity)
+            continue
+        j_a = rank[m.cycle(ray.alpha.cycle).gm()]
+        if m.ray_has_zero(ray):
+            run(ker, 0, j_w)
+            run(dfc, 0, j_a)
+        else:
+            run(ker, j_a, j_w)
+            run(dfc, j_w, j_a)
+    out = []
+    k = d = 0
+    for i, (lo, hi) in enumerate(zip(radii, radii[1:] + [None])):
+        k += ker[i]
+        d += dfc[i]
+        # below a bundle cluster infinitely many sources break upper
+        # semi-Fredholmness; lower semi-Fredholmness fails only on circles
+        inside = i < below_bundle
+        out.append(_Stratum(lo, hi, rational_between(lo, hi),
+                            INF if inside else k, d, not inside))
+    return out
 
 
 def essential_spectra(m: ValidatedModel) -> SpectralReport:
@@ -327,11 +409,11 @@ def essential_spectra(m: ValidatedModel) -> SpectralReport:
 
     strata: list[StratumRow] = []
     s4_extra: list[tuple[ExactRadius, ExactRadius]] = []
-    for lo, hi, q in _strata(m):
-        fd = fredholm_data(m, QPoint.of(q))
-        strata.append(StratumRow(lo, hi, q, fd))
-        if fd.index not in (None, 0) and hi is not None:
-            s4_extra.append((lo, hi))
+    for st in m.derived(_strata):
+        fd = fredholm_data(m, QPoint.of(st.sample))
+        strata.append(StratumRow(st.lo, st.hi, st.sample, fd))
+        if fd.index not in (None, 0) and st.hi is not None:
+            s4_extra.append((st.lo, st.hi))
     s4 = union(s3, canonicalize(annuli=s4_extra, root_sets=[ORIGIN]))
 
     gaps = complement_components(s1)
@@ -375,7 +457,7 @@ def sample_grid(m: ValidatedModel) -> list[SpectralPoint]:
     circle, every root-set point, plus the origin."""
     second = RationalComplex.of(Fraction(3, 5), Fraction(4, 5))
     pts: list[SpectralPoint] = [QPoint.of(0)]
-    pts += [QPoint.of(q) for _, _, q in _strata(m)]
+    pts += [QPoint.of(st.sample) for st in m.derived(_strata)]
     for r in m.critical:
         if r.is_zero:
             continue

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,8 @@ import ckspec
 from ckspec.cli import main
 from ckspec.fixtures import NAMES, fixture_text
 from ckspec.model import model_to_json, parse_model_json
+
+GOLDEN_SVG = Path(__file__).parent / "golden" / "svg"
 
 
 @pytest.fixture
@@ -266,3 +270,42 @@ def test_analyze_self_check_radii_closer_than_a_double(tmp_path):
                   "omega": {"cycle": "B", "phase": 0},
                   "alpha": {"cycle": "A", "phase": 0}}]}), "utf-8")
     assert main(["analyze", str(path), "--self-check"]) == 0
+
+
+_SVG_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e-?\d+)?")
+
+
+def test_analyze_svg_radius_beyond_float_range(tmp_path, capsys):
+    # a bare cycle of weight 10**400 beside a forward ray on a weight-1
+    # cycle: its radius has no float, but its ratio to itself does
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "name": "huge",
+        "cycles": [{"id": "A", "weights": [[1, 1, 0, 1]]},
+                   {"id": "B", "weights": [[10**400, 1, 0, 1]]}],
+        "rays": [{"id": "R", "kind": "forward", "multiplicity": 1,
+                  "omega": {"cycle": "A", "phase": 0}}]}), "utf-8")
+    out = tmp_path / "huge.svg"
+    assert main(["analyze", str(path), "--svg", str(out)]) == 0
+    capsys.readouterr()
+    root = ET.fromstring(out.read_text("utf-8"))
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    # the root 10**400 sits on the rim of the sigma panel, at 108 px
+    dots = [c for c in root.iter("{http://www.w3.org/2000/svg}circle")
+            if c.get("fill") == "#d62728"]
+    assert dots and float(dots[0].get("cx")) == 120.0 + 108.0
+
+
+def test_analyze_svg_fixtures_match_recorded_plots(fixture_file, tmp_path, capsys):
+    # golden/svg holds the plots of an earlier release, which converted
+    # each radius to a float before scaling it
+    for name in NAMES:
+        out = tmp_path / f"{name}.svg"
+        assert main(["analyze", fixture_file(name), "--svg", str(out)]) == 0
+        got = out.read_text("utf-8")
+        want = (GOLDEN_SVG / f"{name}.svg").read_text("utf-8")
+        assert _SVG_NUMBER.sub("#", got) == _SVG_NUMBER.sub("#", want), name
+        pairs = zip(_SVG_NUMBER.findall(got), _SVG_NUMBER.findall(want))
+        assert all(math.isclose(float(a), float(b), rel_tol=1e-9)
+                   for a, b in pairs), name
+    capsys.readouterr()

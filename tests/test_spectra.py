@@ -1,10 +1,18 @@
+import random
+import time
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
+from ckspec import oracle, spectra
 from ckspec.exact import INF, ExactRadius, QPoint, RationalComplex
 from ckspec.fixtures import NAMES, load_fixture
+from ckspec.model import OMEGA, Anchor, Cycle, OrbitModel, Ray, validate
+from ckspec.oracle import chain_defect_dim, chain_kernel_dim
 from ckspec.radialset import RadialSet, canonicalize, intersect, union
-from ckspec.spectra import (essential_spectra, fredholm_data, self_check,
-                            sigma_L, sigma_M, zero_analysis)
+from ckspec.spectra import (_dim_add, _heads_above, essential_spectra,
+                            fredholm_data, self_check, sigma_L, sigma_M,
+                            zero_analysis)
 
 RC = RationalComplex.of
 ER = ExactRadius.from_fraction
@@ -177,3 +185,118 @@ def test_critical_table_roles():
     per3 = load_fixture("per3_isolated")
     assert per3.critical[ER(2)] == set()
     assert per3.critical[ER(0)] == set()
+
+
+# ---------------------------------------------------------------------------
+# the stratum sweep
+
+
+def _assert_strata_match_chains(m):
+    for row in essential_spectra(m).strata:
+        lam = Q(row.sample)
+        want_ker = _dim_add(chain_kernel_dim(m, lam, l_only=True),
+                            _heads_above(m, lam))
+        assert row.data.dim_ker == want_ker, (m.name, str(row.sample))
+        assert row.data.defect == chain_defect_dim(m, lam, l_only=True), \
+            (m.name, str(row.sample))
+
+
+def test_strata_sweep_matches_chain_solvers_on_fixtures_and_corpus():
+    from _corpus import corpus
+    for m in [load_fixture(name) for name in NAMES] + corpus():
+        _assert_strata_match_chains(m)
+
+
+_weights = st.one_of(
+    st.just(RC(0)),
+    st.builds(RationalComplex, st.fractions(-4, 4, max_denominator=4),
+              st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 2),
+                               Fraction(-3, 2)])))
+
+
+@st.composite
+def valid_models(draw):
+    periods = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    pool = draw(st.lists(_weights, min_size=2, max_size=4))
+    # drawing weights from a small pool repeats radii across cycles, which
+    # puts several cycles and both ends of two-sided rays on one circle
+    cycles = tuple(Cycle(f"c{k}", tuple(draw(st.sampled_from(pool))
+                                        for _ in range(p)))
+                   for k, p in enumerate(periods))
+
+    def anchor():
+        k = draw(st.integers(0, len(cycles) - 1))
+        return Anchor(f"c{k}", draw(st.integers(0, periods[k] - 1)))
+
+    rays = []
+    for j in range(draw(st.integers(1, 5))):
+        exceptional = tuple(sorted(draw(st.dictionaries(
+            st.integers(0 if j == 0 else -2, 2), _weights, max_size=2)).items()))
+        if j == 0 or draw(st.booleans()):
+            mult = draw(st.sampled_from([1, 1, 2, OMEGA]))
+            rays.append(Ray(f"r{j}", "forward", mult, anchor(),
+                            exceptional=tuple((i, v) for i, v in exceptional
+                                              if i >= 0)))
+        else:
+            rays.append(Ray(f"r{j}", "two_sided", 1, anchor(), anchor(),
+                            exceptional=exceptional))
+    return validate(OrbitModel("drawn", cycles, tuple(rays)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_models())
+def test_strata_sweep_matches_chain_solvers_on_drawn_models(m):
+    _assert_strata_match_chains(m)
+
+
+def test_essential_spectra_runs_no_chain_solve(monkeypatch):
+    from _corpus import corpus
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("essential_spectra called the chain oracle")
+
+    for name in ("chain_kernel_dim", "chain_defect_dim"):
+        monkeypatch.setattr(spectra, name, forbidden)
+        monkeypatch.setattr(oracle, name, forbidden)
+    monkeypatch.setattr(oracle, "_active", forbidden)
+    for m in [load_fixture(name) for name in NAMES] + corpus():
+        essential_spectra(m)
+
+
+def _ladder(n_cycles: int, seed: str):
+    """A ladder-shaped model: periods 1..24, weights a/b with a, b <= 16
+    (imaginary part 30% of the time), one forward ray per cycle (a fifth
+    of them bundles) and one two-sided ray per cycle."""
+    rng = random.Random(seed)
+
+    def weight():
+        re = Fraction(rng.choice((-1, 1)) * rng.randint(1, 16), rng.randint(1, 16))
+        im = Fraction(0)
+        if rng.random() < 0.3:
+            im = Fraction(rng.randint(-16, 16), rng.randint(1, 16))
+        return RationalComplex(re, im)
+
+    periods = [1 + k % 24 for k in range(n_cycles)]
+    rng.shuffle(periods)
+    cycles = tuple(Cycle(f"c{k}", tuple(weight() for _ in range(p)))
+                   for k, p in enumerate(periods))
+
+    def anchor():
+        k = rng.randrange(n_cycles)
+        return Anchor(f"c{k}", rng.randrange(periods[k]))
+
+    rays = [Ray(f"f{j}", "forward",
+                OMEGA if j < n_cycles // 5 else rng.choice((1, 1, 2, 3)),
+                anchor()) for j in range(n_cycles)]
+    rays += [Ray(f"t{j}", "two_sided", 1, anchor(), anchor())
+             for j in range(n_cycles)]
+    return validate(OrbitModel(f"ladder-{n_cycles}", cycles, tuple(rays)))
+
+
+def test_essential_spectra_on_1024_cycles_is_fast():
+    m = _ladder(1024, "ladder/1024")
+    start = time.process_time()
+    rep = essential_spectra(m)
+    elapsed = time.process_time() - start
+    assert len(rep.strata) == len(m.critical) > 1000
+    assert elapsed < 10.0, f"essential_spectra took {elapsed:.1f} s"
