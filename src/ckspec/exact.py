@@ -23,6 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 INF = float("inf")
 
@@ -313,6 +314,10 @@ class QPoint(SpectralPoint):
         return QPoint(RationalComplex.of(re, im))
 
     def modulus(self) -> ExactRadius:
+        return self._modulus
+
+    @cached_property
+    def _modulus(self) -> ExactRadius:
         return ExactRadius(self.z.abs2(), 1)
 
     @property
@@ -388,11 +393,23 @@ class RootPoint(SpectralPoint):
             raise ValueError("branch out of range")
 
     def modulus(self) -> ExactRadius:
+        return self._modulus
+
+    @cached_property
+    def _modulus(self) -> ExactRadius:
         return ExactRadius(self.w.abs2(), self.p)
 
     def pow_equals(self, e: int, q: RationalComplex) -> bool:
         if q.is_zero:
             return False
+        if e % self.p == 0:
+            # every branch has self**p == w, so self**e == w**(e/p)
+            return self.w ** (e // self.p) == q
+        return self._pow_equals_by_winding(e, q)
+
+    def _pow_equals_by_winding(self, e: int, q: RationalComplex) -> bool:
+        """self**e == q for nonzero q, decided for any e from the wrap
+        counts of w**e and q**p."""
         if self.w.abs2() ** e != q.abs2() ** self.p:
             return False
         # self**e == q iff e*(arg w + 2*pi*j) - p*arg(q) lies in 2*pi*p*Z.

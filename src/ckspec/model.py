@@ -166,11 +166,31 @@ class ValidatedModel:
     def cycle(self, cid: str) -> Cycle:
         return self.cycles[cid]
 
-    def forward_rays(self) -> list[Ray]:
-        return [r for r in self.raw.rays if r.is_forward]
+    def forward_rays(self) -> tuple[Ray, ...]:
+        return self._forward
 
-    def two_sided_rays(self) -> list[Ray]:
-        return [r for r in self.raw.rays if r.is_two_sided]
+    def two_sided_rays(self) -> tuple[Ray, ...]:
+        return self._two_sided
+
+    # The ray lists and the zero flags are fixed per model, and the chain
+    # solvers ask for them once per ray per grid point, so they are built
+    # once, on first use.
+    @cached_property
+    def _forward(self) -> tuple[Ray, ...]:
+        return tuple(r for r in self.raw.rays if r.is_forward)
+
+    @cached_property
+    def _two_sided(self) -> tuple[Ray, ...]:
+        return tuple(r for r in self.raw.rays if r.is_two_sided)
+
+    @cached_property
+    def _zero_rays(self) -> frozenset[str]:
+        """The ids of the rays with a vanishing weight on some copy."""
+        return frozenset(
+            r.id for r in self.raw.rays
+            if any(v.is_zero for _, v in r.exceptional)
+            or self.cycle(r.omega.cycle).has_zero_weight
+            or (r.is_two_sided and self.cycle(r.alpha.cycle).has_zero_weight))
 
     def rays_into(self, cid: str) -> list[Ray]:
         """Forward rays and bundles whose omega anchor is the given cycle."""
@@ -255,13 +275,7 @@ class ValidatedModel:
 
     def ray_has_zero(self, ray: Ray) -> bool:
         """True when some weight on the ray (any copy) vanishes."""
-        if any(v.is_zero for _, v in ray.exceptional):
-            return True
-        if self.cycle(ray.omega.cycle).has_zero_weight:
-            return True
-        if ray.is_two_sided and self.cycle(ray.alpha.cycle).has_zero_weight:
-            return True
-        return False
+        return ray.id in self._zero_rays
 
 
 def validate(raw: OrbitModel) -> ValidatedModel:

@@ -13,6 +13,14 @@ the defining equations, with no reference to the classification engine:
   with atoms annihilated at ray heads; only summability constrains chains,
   so structures count independently.
 
+Both solvers start from the placement of lam: which side of |lam| each cycle
+radius lies on, and the cycles that resonate with lam.  It is decided once
+per lam per model and kept on the model, so every solve at one point shares
+one resonance pass.  The transport ratio across a two-sided ray is a
+monomial in lam fixed by the cycle patterns and the ray weights alone, so it
+is computed once per ray, from powers of the cycle products rather than one
+weight at a time.
+
 The numerical *certificates* instantiate explicit almost-eigenvectors on a
 finite truncation (windowed geometric bumps along a locked ray tail) and
 Neumann-series resolvent bounds.  Truncations are used only to evaluate
@@ -86,20 +94,32 @@ def _radius_index(m: ValidatedModel):
     return radii, rank, dict(at)
 
 
+def _placements(m: ValidatedModel) -> dict:
+    """lam -> (side, actives), filled by ``_placement``."""
+    return {}
+
+
 def _placement(m: ValidatedModel, lam: SpectralPoint):
     """(side, actives) for nonzero lam: side(cid) is the sign of the cycle's
     radius minus |lam|, from one ranking of |lam| among the cycle radii, and
     actives are the cycles resonant with lam.  lam**p == W forces
-    |lam| == |W|**(1/p), so only the cycles at radius |lam| are tested."""
-    radii, rank, at = m.derived(_radius_index)
-    mod = lam.modulus()
-    below, above = bisect_left(radii, mod), bisect_right(radii, mod)
+    |lam| == |W|**(1/p), so only the cycles at radius |lam| are tested.
+    Kept per lam on the model, so every chain solve at one point shares one
+    resonance pass."""
+    memo = m.derived(_placements)
+    hit = memo.get(lam)
+    if hit is None:
+        radii, rank, at = m.derived(_radius_index)
+        mod = lam.modulus()
+        below, above = bisect_left(radii, mod), bisect_right(radii, mod)
 
-    def side(cid: str) -> int:
-        j = rank[cid]
-        return -1 if j < below else 1 if j >= above else 0
+        def side(cid: str) -> int:
+            j = rank[cid]
+            return -1 if j < below else 1 if j >= above else 0
 
-    return side, {cid for cid in at.get(mod, ()) if _active(m, lam, cid)}
+        hit = memo[lam] = (side, frozenset(
+            cid for cid in at.get(mod, ()) if _active(m, lam, cid)))
+    return hit
 
 
 def _pattern(m: ValidatedModel, cid: str) -> list[Mono]:
@@ -113,21 +133,51 @@ def _pattern(m: ValidatedModel, cid: str) -> list[Mono]:
     return pat
 
 
-def _transport_ratio(m: ValidatedModel, lam: SpectralPoint, ray: Ray) -> Mono:
+def _ratios(m: ValidatedModel) -> dict:
+    """ray id -> transport ratio, filled by ``_transport_ratio``."""
+    return {}
+
+
+def _transport_ratio(m: ValidatedModel, ray: Ray) -> Mono:
     """For a two-sided ray joining two resonant cycles: the monomial rho with
     t_alpha == rho * t_omega, obtained by carrying the forced omega-tail
-    values down through the exceptional window."""
+    values down through the exceptional window.  rho is a monomial in lam,
+    so it is computed once per ray and kept on the model."""
+    ratios = m.derived(_ratios)
+    if ray.id not in ratios:
+        lock_neg, lock_pos = m.lock_bounds(ray)
+        om, al = ray.omega, ray.alpha
+        z, e = _pattern(m, om.cycle)[(om.phase + lock_pos)
+                                     % m.cycle(om.cycle).period]
+        # f(k_i) = w_i f(k_{i+1}) / lam, for i from lock_pos - 1 down to lock_neg
+        val = (z * _window_product(m, ray), e - (lock_pos - lock_neg))
+        pi = _pattern(m, al.cycle)[(al.phase + lock_neg) % m.cycle(al.cycle).period]
+        ratios[ray.id] = _mono_div(val, pi)
+    return ratios[ray.id]
+
+
+def _window_product(m: ValidatedModel, ray: Ray) -> RationalComplex:
+    """The product of the copy-0 weights at ray indices lock_neg <= i <
+    lock_pos, cut at index 0 and around each override.  Between the cuts
+    the ray follows one cycle (the alpha cycle below index 0, the omega
+    cycle from 0 on), and any p consecutive weights of a cycle of period p
+    multiply to its W, so a run of length L is W**(L // p) times one partial
+    period."""
     lock_neg, lock_pos = m.lock_bounds(ray)
-    a_cyc = m.cycle(ray.omega.cycle)
-    b_cyc = m.cycle(ray.alpha.cycle)
-    pat_a = _pattern(m, ray.omega.cycle)
-    pat_b = _pattern(m, ray.alpha.cycle)
-    val = pat_a[(ray.omega.phase + lock_pos) % a_cyc.period]
-    for i in range(lock_pos - 1, lock_neg - 1, -1):
-        v = m.ray_weight(ray, i)
-        val = (val[0] * v, val[1] - 1)  # f(k_i) = v_i f(k_{i+1}) / lam
-    pi = pat_b[(ray.alpha.phase + lock_neg) % b_cyc.period]
-    return _mono_div(val, pi)
+    over = dict(ray.exceptional)
+    cuts = sorted({lock_neg, 0, lock_pos} | set(over) | {k + 1 for k in over})
+    out = RC1
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo in over:  # then hi == lo + 1
+            out = out * over[lo]
+            continue
+        anchor = ray.omega if lo >= 0 else ray.alpha
+        cyc = m.cycle(anchor.cycle)
+        full, part = divmod(hi - lo, cyc.period)
+        out = out * cyc.weight_product() ** full
+        for i in range(lo, lo + part):
+            out = out * cyc.weights[(anchor.phase + i) % cyc.period]
+    return out
 
 
 def _solve_resonant_graph(lam, actives, killed, edges) -> int:
@@ -207,7 +257,7 @@ def chain_kernel_dim(m: ValidatedModel, lam: SpectralPoint, l_only: bool = False
                 killed.add(ray.alpha.cycle)
         else:
             edges.append((ray.omega.cycle, ray.alpha.cycle,
-                          _transport_ratio(m, lam, ray)))
+                          _transport_ratio(m, ray)))
     total += _solve_resonant_graph(lam, actives, killed, edges)
     return INF if infinite else total
 

@@ -17,6 +17,7 @@ disconnect a planar open set, so the point part only punctures gaps).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .exact import (RC_ZERO, ExactRadius, QPoint, RationalComplex,
@@ -45,7 +46,7 @@ class RadialSet:
     # --- queries -----------------------------------------------------------
 
     def radial_contains(self, r: ExactRadius) -> bool:
-        return any(lo <= r <= hi for lo, hi in self.annuli)
+        return _covers(self.annuli, r)
 
     def member(self, lam: SpectralPoint) -> bool:
         """Exact membership of a spectral point."""
@@ -128,8 +129,7 @@ def canonicalize(annuli=(), root_sets=()) -> RadialSet:
             rs = ORIGIN  # z**p == 0 only at z == 0
         if rs in roots:
             continue
-        r = _root_radius(rs)
-        if not any(lo <= r <= hi for lo, hi in ann):
+        if not _covers(ann, _root_radius(rs)):
             roots.append(rs)
     # drop root sets already covered by another root set
     roots = [a for a in roots
@@ -142,6 +142,14 @@ def _root_radius(rs: tuple[RationalComplex, int]) -> ExactRadius:
     """The common modulus |W|**(1/p) of the root set (W, p)."""
     w, p = rs
     return ExactRadius(w.abs2(), p)
+
+
+def _covers(ann, r: ExactRadius) -> bool:
+    """Whether some annulus of a canonical list holds radius r.  The annuli
+    are sorted and disjoint, so only the last one starting at or below r
+    can, and one bisection finds it."""
+    i = bisect_right(ann, r, key=lambda a: a[0])
+    return i > 0 and r <= ann[i - 1][1]
 
 
 def _merge_annuli(ann):

@@ -174,3 +174,23 @@ def test_root_subset_and_intersection(a, b):
         u, g = inter
         assert len(common) == g
         assert all(_power_is(lam, pa, was, g, _sym(u)) for lam in common)
+
+
+# branch j of z**4 == -4 is (1 + i) * i**j; (1 + i)**4 == -4 on every branch
+@given(_nonzero, st.integers(1, 4), st.integers(0, 3), st.sampled_from(_UNITS),
+       st.integers(-3, 3), st.sampled_from(_TARGETS), st.sampled_from(_UNITS),
+       _gaussian)
+@example(RC(1, 1), 4, 0, RC(1), 1, "power", RC(1), RC(0))
+@example(RC(1, 1), 4, 1, RC(1), -1, "power", RC(1), RC(0))
+@example(RC(1, 1), 4, 2, RC(1), 0, "power", RC(1), RC(0))
+@example(RC(1, 1), 4, 3, RC(1), 3, "rotated", RC(1), RC(0))
+@settings(max_examples=200, deadline=None)
+def test_root_point_pow_equals_at_multiples_of_the_period(z, p, j, u, k, kind,
+                                                          v, free):
+    # e = k*p: lam**e == w**k on every branch, which the direct test uses
+    w = z**p * u
+    q = _target(w**k, kind, v, free)
+    j %= p
+    ws = _sym(w)
+    want = _power_is(sympy.root(ws, p, j), p, ws, k * p, _sym(q))
+    assert RootPoint(w, p, j).pow_equals(k * p, q) == want, (w, p, j, k, q)

@@ -246,3 +246,19 @@ def test_circle_point_irrational_radius_pow_equals(s_base, e, u, v, kind, free):
     q = _target(base**e, kind, v, free)
     direct = e % 2 == 0 and RC(Fraction(s) ** (e // 2)) * u**e == q
     assert lam.pow_equals(e, q) == direct
+
+
+@given(_gaussian.filter(lambda z: not z.is_zero), st.integers(1, 5),
+       st.integers(0, 4), st.integers(-3, 3), st.sampled_from(_UNITS),
+       st.sampled_from(_TARGETS), _gaussian)
+@settings(max_examples=300, deadline=None)
+def test_root_point_power_of_the_period_matches_the_winding_test(
+        z, p, j, k, u, kind, free):
+    # w = z**p * u makes w**k a power of some branch; for e = k*p every
+    # branch answers the same, and the direct test w**k == q must agree
+    # with the winding count that decides every other exponent
+    w = z**p * u
+    q = _target(w**k, kind, u, free)
+    lam = RootPoint(w, p, j % p)
+    want = False if q.is_zero else lam._pow_equals_by_winding(k * p, q)
+    assert lam.pow_equals(k * p, q) == want

@@ -5,13 +5,23 @@ directly on the named structure; each case is a one-paragraph argument in
 the comments, independent of the classification engine.
 """
 
+import time
+from collections import Counter
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
+from ckspec import oracle
+from ckspec.cli import main
 from ckspec.exact import INF, QPoint, RationalComplex, RootPoint
-from ckspec.fixtures import load_fixture
-from ckspec.model import Anchor, Cycle, OrbitModel, Ray, validate
+from ckspec.fixtures import NAMES, load_fixture
+from ckspec.model import (Anchor, Cycle, OrbitModel, Ray, ValidatedModel,
+                          model_to_json, validate)
 from ckspec.oracle import (_abs2_streams, _components, _extreme_abs2_wn,
-                           chain_defect_dim, chain_kernel_dim)
+                           _pattern, _placement, _transport_ratio,
+                           _window_product, chain_defect_dim,
+                           chain_kernel_dim)
+from ckspec.spectra import sample_grid, self_check
 
 from _corpus import corpus
 
@@ -248,3 +258,130 @@ def test_components_carry_every_ray_at_its_omega_cycle():
                 assert r.omega.cycle in comp["cycles"]
                 if r.is_two_sided:
                     assert r.alpha.cycle in comp["cycles"]
+
+
+# ---------------------------------------------------------------------------
+# one placement per point, one transport ratio per ray
+
+
+def _placement_by_definition(m, lam):
+    """Every cycle's side and the resonant cycles, straight from the
+    definitions: the sign of g_c - |lam|, and lam**p == W != 0 tested on
+    every cycle, whatever its radius."""
+    mod = lam.modulus()
+    sides = {cid: cyc.gm().cmp(mod) for cid, cyc in m.cycles.items()}
+    actives = {cid for cid, cyc in m.cycles.items()
+               if not cyc.weight_product().is_zero
+               and lam.pow_equals(cyc.period, cyc.weight_product())}
+    return sides, actives
+
+
+def test_kept_placement_matches_a_fresh_evaluation():
+    for m in [load_fixture(name) for name in NAMES] + corpus():
+        self_check(m)  # fills the placement kept on m
+        for lam in sample_grid(m):
+            if lam.is_zero:
+                continue
+            side, actives = _placement(m, lam)
+            assert _placement(m, lam)[1] is actives  # kept, not recomputed
+            fresh_side, fresh_actives = _placement(ValidatedModel(m.raw), lam)
+            sides, want = _placement_by_definition(m, lam)
+            assert actives == fresh_actives == want, (m.name, str(lam))
+            for cid in m.cycles:
+                assert side(cid) == fresh_side(cid) == sides[cid], \
+                    (m.name, str(lam), cid)
+
+
+def test_self_check_tests_each_resonance_once(monkeypatch):
+    calls = Counter()
+    active = oracle._active
+
+    def counted(m, lam, cid):
+        calls[m.name, lam, cid] += 1
+        return active(m, lam, cid)
+
+    monkeypatch.setattr(oracle, "_active", counted)
+    for m in [load_fixture(name) for name in NAMES] + corpus():
+        assert self_check(m) == []
+    assert calls and max(calls.values()) == 1
+
+
+def _stepwise_window_product(m, ray):
+    lock_neg, lock_pos = m.lock_bounds(ray)
+    out = RC(1)
+    for i in range(lock_neg, lock_pos):
+        out = out * m.ray_weight(ray, i)
+    return out
+
+
+def _stepwise_ratio(m, ray):
+    """The transport ratio carried down the window one weight at a time."""
+    lock_neg, lock_pos = m.lock_bounds(ray)
+    a, b = m.cycle(ray.omega.cycle), m.cycle(ray.alpha.cycle)
+    z, e = _pattern(m, a.id)[(ray.omega.phase + lock_pos) % a.period]
+    for i in range(lock_pos - 1, lock_neg - 1, -1):
+        z, e = z * m.ray_weight(ray, i), e - 1
+    zb, eb = _pattern(m, b.id)[(ray.alpha.phase + lock_neg) % b.period]
+    return z / zb, e - eb
+
+
+def _assert_window_products(m):
+    for ray in m.two_sided_rays():
+        assert _window_product(m, ray) == _stepwise_window_product(m, ray), \
+            (m.name, ray.id)
+        if not m.ray_has_zero(ray):
+            assert _transport_ratio(m, ray) == _stepwise_ratio(m, ray)
+
+
+def test_window_product_matches_stepwise_product():
+    models = [load_fixture(name) for name in NAMES] + _window_models()
+    models += [m for m in corpus() if m.two_sided_rays()]
+    assert sum(len(m.two_sided_rays()) for m in models) > 50
+    for m in models:
+        _assert_window_products(m)
+
+
+_nonzero_weights = st.builds(
+    RationalComplex, st.fractions(-3, 3, max_denominator=3),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-2)])).filter(
+        lambda w: not w.is_zero)
+
+
+@st.composite
+def _deep_windows(draw):
+    """Two cycles of periods 1..5 joined by a two-sided ray whose overrides
+    lie on both sides of index 0, up to 40 away."""
+    cycles = [Cycle(c, tuple(draw(st.lists(_nonzero_weights, min_size=1,
+                                           max_size=5))))
+              for c in ("A", "B")]
+    below = draw(st.dictionaries(st.integers(-40, -1), _nonzero_weights,
+                                 min_size=1, max_size=3))
+    above = draw(st.dictionaries(st.integers(0, 40), _nonzero_weights,
+                                 min_size=1, max_size=3))
+    omega = Anchor("A", draw(st.integers(0, cycles[0].period - 1)))
+    alpha = Anchor("B", draw(st.integers(0, cycles[1].period - 1)))
+    ray = Ray("t", "two_sided", 1, omega, alpha,
+              tuple(sorted({**below, **above}.items())))
+    return mk(cycles + [F_AUX], [ray, FWD_AUX])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_deep_windows())
+def test_window_product_matches_stepwise_product_on_drawn_windows(m):
+    _assert_window_products(m)
+
+
+def test_deep_resonant_override_self_check_is_fast(tmp_path, capsys):
+    # A and B both resonate at lam = 2, joined through an override 10**5
+    # deep; the transport ratio is a power of 2 times 3
+    a, b = Cycle("A", (RC(2),)), Cycle("B", (RC(2),))
+    s = Ray("S", "two_sided", 1, Anchor("B", 0), Anchor("A", 0),
+            exceptional=((10**5, RC(3)),))
+    r = Ray("R", "forward", 1, Anchor("A", 0))
+    path = tmp_path / "deep.json"
+    path.write_text(model_to_json(mk([a, b], [s, r], "deep")), "utf-8")
+    start = time.process_time()
+    assert main(["analyze", str(path), "--self-check"]) == 0
+    elapsed = time.process_time() - start
+    assert "sigma" in capsys.readouterr().out
+    assert elapsed < 5.0, f"analyze --self-check took {elapsed:.1f} s"

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckspec.exact import ExactRadius, QPoint, RationalComplex, RootPoint
+from ckspec.exact import (ExactRadius, QPoint, RationalComplex, RootPoint,
+                          rational_between)
 from ckspec.radialset import (RadialSet, _root_subset, canonicalize,
                               complement_components, intersect,
                               remove_open_gap_traces, render_svg,
@@ -237,3 +238,20 @@ def test_intersection_subset(a, b):
     i = intersect(a, b)
     assert i.issubset(a) and i.issubset(b)
     assert a.issubset(union(a, b))
+
+
+@given(radial_sets(), st.lists(radius_st, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_radial_contains_matches_a_scan_of_every_annulus(s, extra):
+    # probe every endpoint, a radius inside each annulus and each gap, one
+    # below the first annulus and one above the last
+    probes = [r for ann in s.annuli for r in ann] + extra
+    edges = [ExactRadius.zero()] + probes[:2 * len(s.annuli)]
+    for lo, hi in zip(edges, edges[1:]):
+        if lo < hi:
+            probes.append(ExactRadius.from_fraction(rational_between(lo, hi)))
+    if s.annuli:
+        top = ExactRadius.from_fraction(rational_between(s.annuli[-1][1], None))
+        probes.append(top)
+    for r in probes:
+        assert s.radial_contains(r) == any(lo <= r <= hi for lo, hi in s.annuli)

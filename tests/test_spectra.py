@@ -300,3 +300,12 @@ def test_essential_spectra_on_1024_cycles_is_fast():
     elapsed = time.process_time() - start
     assert len(rep.strata) == len(m.critical) > 1000
     assert elapsed < 10.0, f"essential_spectra took {elapsed:.1f} s"
+
+
+def test_self_check_on_64_cycles_is_fast():
+    m = _ladder(64, "ladder/64")
+    start = time.process_time()
+    msgs = self_check(m)
+    elapsed = time.process_time() - start
+    assert msgs == []
+    assert elapsed < 5.0, f"self_check took {elapsed:.1f} s"
