@@ -440,14 +440,26 @@ def rational_between(lo: ExactRadius, hi: ExactRadius | None) -> Fraction:
 
     The dyadic c/2**k with the least k, and for it the least c: that is
     floor(lo * 2**k) + 1, found over the integers as an integer root.
-    Without hi it is the least integer above lo.
+    Without hi it is the least integer above lo.  The candidate at k + 1 is
+    at most the one at k, so whether it lies below hi is monotone in k: k
+    doubles until it does, then a bisection finds the least such k.
     """
     n = 2 * lo.p
-    k = 0
-    while True:
+
+    def fitting(k: int) -> Fraction | None:
+        """The candidate at k, or None when it does not lie below hi."""
         scaled = lo.sq * 2 ** (n * k)  # (lo * 2**k) ** n
         c = _int_nth_root(scaled.numerator // scaled.denominator, n)[0] + 1
         cand = Fraction(c, 2**k)
-        if hi is None or ExactRadius.from_fraction(cand) < hi:
-            return cand
-        k += 1
+        return cand if hi is None or ExactRadius.from_fraction(cand) < hi else None
+
+    bad, good = -1, 0
+    while (best := fitting(good)) is None:
+        bad, good = good, 2 * good or 1
+    while good - bad > 1:
+        mid = (bad + good) // 2
+        if (cand := fitting(mid)) is None:
+            bad = mid
+        else:
+            good, best = mid, cand
+    return best

@@ -219,20 +219,19 @@ def _solve_resonant_graph(lam, actives, killed, edges) -> int:
 # chain solvers
 
 
-def chain_kernel_dim(m: ValidatedModel, lam: SpectralPoint, l_only: bool = False):
-    """dim ker(lam I - T), restricted to the eventual image when l_only."""
+def chain_kernel_dim(m: ValidatedModel, lam: SpectralPoint):
+    """dim ker(lam I - T)."""
     if lam.is_zero:
-        return _kernel_dim_at_zero(m, l_only)
+        return _kernel_dim_at_zero(m)
     side, actives = _placement(m, lam)
     total = 0
     infinite = False
-    if not l_only:
-        for ray in m.forward_rays():
-            if side(ray.omega.cycle) > 0:  # |lam| < g_omega
-                if ray.multiplicity == OMEGA:
-                    infinite = True
-                else:
-                    total += ray.multiplicity
+    for ray in m.forward_rays():
+        if side(ray.omega.cycle) > 0:  # |lam| < g_omega
+            if ray.multiplicity == OMEGA:
+                infinite = True
+            else:
+                total += ray.multiplicity
     killed: set = set()
     edges = []
     for ray in m.two_sided_rays():
@@ -262,20 +261,14 @@ def chain_kernel_dim(m: ValidatedModel, lam: SpectralPoint, l_only: bool = False
     return INF if infinite else total
 
 
-def _kernel_dim_at_zero(m: ValidatedModel, l_only: bool):
+def _kernel_dim_at_zero(m: ValidatedModel):
     # ker T = continuous functions vanishing on phi({w != 0}); the free spots
     # are the heads plus the images of the zeros of w
-    total = 0
-    infinite = False
-    if not l_only:
-        h = m.heads_count()
-        if is_infinite(h):
-            infinite = True
-        else:
-            total += h
+    h = m.heads_count()
+    infinite = is_infinite(h)
+    total = 0 if infinite else h
     for cid, cyc in m.cycles.items():
-        incident = [r for r in m.incident_rays(cid)
-                    if not (l_only and r.is_forward)]
+        incident = m.incident_rays(cid)
         for w in cyc.weights:
             if w.is_zero:
                 if incident:
@@ -283,18 +276,16 @@ def _kernel_dim_at_zero(m: ValidatedModel, l_only: bool):
                 else:
                     total += 1
     for ray in m.raw.rays:
-        if l_only and ray.is_forward:
-            continue
         total += sum(1 for _, v in ray.exceptional if v.is_zero)
     return INF if infinite else total
 
 
-def chain_defect_dim(m: ValidatedModel, lam: SpectralPoint, l_only: bool = False):
+def chain_defect_dim(m: ValidatedModel, lam: SpectralPoint):
     """dim ker(lam I - T') over summable atom chains (= codim of the closed
     range).  Forward rays never contribute: their head atom is annihilated
     and the chain propagates forward only."""
     if lam.is_zero:
-        return _defect_dim_at_zero(m, l_only)
+        return _defect_dim_at_zero(m)
     side, actives = _placement(m, lam)
     total = len(actives)
     for ray in m.two_sided_rays():
@@ -307,20 +298,16 @@ def chain_defect_dim(m: ValidatedModel, lam: SpectralPoint, l_only: bool = False
     return total
 
 
-def _defect_dim_at_zero(m: ValidatedModel, l_only: bool):
+def _defect_dim_at_zero(m: ValidatedModel):
     # ker T' = atoms supported on the zero set of w
     total = 0
     infinite = False
     for cid, cyc in m.cycles.items():
-        incident = [r for r in m.incident_rays(cid)
-                    if not (l_only and r.is_forward)]
         zeros = sum(1 for w in cyc.weights if w.is_zero)
-        if zeros and incident:
+        if zeros and m.incident_rays(cid):
             infinite = True
         total += zeros
     for ray in m.raw.rays:
-        if l_only and ray.is_forward:
-            continue
         total += sum(1 for _, v in ray.exceptional if v.is_zero)
     return INF if infinite else total
 

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ckspec.exact import (CirclePoint, ExactRadius, QPoint, RationalComplex,
                           RootPoint, _int_nth_root, fraction_nth_root,
@@ -171,6 +171,44 @@ def test_rational_between_is_least_dyadic():
     for i, lo in enumerate(radii):
         for hi in radii[i + 1:] + [None]:
             assert rational_between(lo, hi) == _least_dyadic_between(lo, hi)
+
+
+def _rational_between_by_linear_search(lo, hi):
+    """rational_between's candidate at k = 0, 1, 2, ... in turn, until one
+    lies below hi."""
+    n = 2 * lo.p
+    k = 0
+    while True:
+        scaled = lo.sq * 2 ** (n * k)
+        c = _int_nth_root(scaled.numerator // scaled.denominator, n)[0] + 1
+        if hi is None or ExactRadius.from_fraction(Fraction(c, 2**k)) < hi:
+            return Fraction(c, 2**k)
+        k += 1
+
+
+_radii = st.builds(ExactRadius, st.fractions(0, 100, max_denominator=10**6),
+                   st.integers(1, 4))
+
+
+@st.composite
+def _radius_pairs(draw):
+    lo = draw(_radii)
+    shape = draw(st.sampled_from(["above", "apart", "near"]))
+    if shape == "above":
+        return lo, None
+    if shape == "near":
+        eps = Fraction(1, 10 ** draw(st.integers(0, 40)))
+        return lo, ExactRadius(lo.sq + eps, lo.p)
+    hi = draw(_radii)
+    assume(lo != hi)
+    return min(lo, hi), max(lo, hi)
+
+
+@given(_radius_pairs())
+@settings(max_examples=300, deadline=None)
+def test_rational_between_matches_linear_search(pair):
+    lo, hi = pair
+    assert rational_between(lo, hi) == _rational_between_by_linear_search(lo, hi)
 
 
 def test_rational_between_radii_closer_than_a_double():

@@ -175,13 +175,14 @@ def test_root_point_samples():
     assert chain_kernel_dim(m, Q(-2)) == 0
 
 
-def test_l_only_restriction():
+def test_eventual_image_model():
     m = load_fixture("twocyc")
+    image = ValidatedModel(OrbitModel(m.name, m.raw.cycles, m.two_sided_rays()))
     lam = Q(1)
-    assert chain_kernel_dim(m, lam, l_only=True) == 1
+    assert chain_kernel_dim(image, lam) == 1
     lam2 = Q(Fraction(1, 4))
     # the forward-ray head is transient: invisible to the eventual image
-    assert chain_kernel_dim(m, lam2, l_only=True) == 0
+    assert chain_kernel_dim(image, lam2) == 0
     assert chain_kernel_dim(m, lam2) == 1
 
 

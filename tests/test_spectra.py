@@ -5,13 +5,13 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from ckspec import oracle, spectra
-from ckspec.exact import INF, ExactRadius, QPoint, RationalComplex
+from ckspec.exact import INF, ExactRadius, QPoint, RationalComplex, RootPoint
 from ckspec.fixtures import NAMES, load_fixture
 from ckspec.model import OMEGA, Anchor, Cycle, OrbitModel, Ray, validate
 from ckspec.oracle import chain_defect_dim, chain_kernel_dim
 from ckspec.radialset import RadialSet, canonicalize, intersect, union
-from ckspec.spectra import (_dim_add, _heads_above, essential_spectra,
-                            fredholm_data, self_check, sigma_L, sigma_M,
+from ckspec.spectra import (_strata, essential_spectra, fredholm_data,
+                            sample_grid, self_check, sigma_L, sigma_M,
                             zero_analysis)
 
 RC = RationalComplex.of
@@ -131,6 +131,32 @@ def test_fredholm_data_examples():
     assert not fd.upper and not fd.lower
 
 
+def test_fredholm_data_counts_resonant_bare_cycles():
+    # P (weights 1, 2, 4) is a bare cycle of radius 2: on its circle the
+    # stratum above gives the dims, and each cube root of 8 adds the
+    # eigenvector on P and its dual atom chain
+    m = load_fixture("per3_isolated")
+    above = next(st for st in m.derived(_strata) if st.lo == ER(2))
+    for j in range(3):
+        lam = RootPoint(RC(8), 3, j)
+        fd = fredholm_data(m, lam)
+        assert fd.upper and fd.lower
+        assert fd.dim_ker == above.dim_ker + 1 == chain_kernel_dim(m, lam)
+        assert fd.defect == above.defect + 1 == chain_defect_dim(m, lam)
+        assert fd.index == 0
+    fd = fredholm_data(m, Q(-2))  # on the circle, but (-2)**3 != 8
+    assert (fd.dim_ker, fd.defect) == (above.dim_ker, above.defect)
+
+
+def test_fredholm_data_claims_only_flags_on_cluster_and_image_circles():
+    m = load_fixture("twocyc")
+    for lam in (Q(Fraction(1, 2)), Q(2), Q(0, 2)):
+        fd = fredholm_data(m, lam)
+        assert not fd.upper and not fd.lower
+        assert fd.dim_ker is None and fd.defect is None and fd.index is None
+        assert fd.to_json()["dim_ker"] is None
+
+
 def test_zero_analysis_examples():
     z = zero_analysis(load_fixture("ray1"))
     assert z.upper and z.lower and z.dim_ker == 1 and z.defect == 0
@@ -194,10 +220,9 @@ def test_critical_table_roles():
 def _assert_strata_match_chains(m):
     for row in essential_spectra(m).strata:
         lam = Q(row.sample)
-        want_ker = _dim_add(chain_kernel_dim(m, lam, l_only=True),
-                            _heads_above(m, lam))
-        assert row.data.dim_ker == want_ker, (m.name, str(row.sample))
-        assert row.data.defect == chain_defect_dim(m, lam, l_only=True), \
+        assert row.data.dim_ker == chain_kernel_dim(m, lam), \
+            (m.name, str(row.sample))
+        assert row.data.defect == chain_defect_dim(m, lam), \
             (m.name, str(row.sample))
 
 
@@ -261,6 +286,9 @@ def test_essential_spectra_runs_no_chain_solve(monkeypatch):
     monkeypatch.setattr(oracle, "_active", forbidden)
     for m in [load_fixture(name) for name in NAMES] + corpus():
         essential_spectra(m)
+        # the engine counts its own dims on every circle, critical ones too
+        for lam in sample_grid(m):
+            fredholm_data(m, lam)
 
 
 def _ladder(n_cycles: int, seed: str):
