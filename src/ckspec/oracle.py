@@ -357,17 +357,22 @@ def _upper_window_certificate(m, lam, ray, base, n, eps) -> Certificate:
     """Eq-style windowed bump along phi-preimages of a deep tail point."""
     lamc = lam.to_complex()
     s = 1.0 / math.sqrt(n)
-    w = _locked_weights(m, ray, base)
-    coeff = {}
+    # w[i] and coeff[i] belong to ray index base - i, which lies past the
+    # lock, so the weights repeat one period of the cycle
+    anchor = ray.omega if ray.is_forward or base >= 0 else ray.alpha
+    per = [v.to_complex() for v in m.cycle(anchor.cycle).weights]
+    w = [per[(anchor.phase + base - i) % len(per)] for i in range(2 * n + 2)]
+    coeff = []
     u = 1.0 + 0.0j  # lam**(-i) * w_i(k_{base-i}), maintained incrementally
     for i in range(0, 2 * n + 1):
         if i > 0:
-            u = u * w(base - i) / lamc
-        coeff[base - i] = (1.0 - s) ** abs(i - n) * u
-    norm = max(abs(c) for c in coeff.values())
+            u = u * w[i] / lamc
+        coeff.append((1.0 - s) ** abs(i - n) * u)
+    norm = max(abs(c) for c in coeff)
+    pad = [0.0, *coeff, 0.0]  # pad[i + 1] == coeff[i]
     resid = 0.0
-    for j in range(base - 2 * n - 1, base + 1):
-        tv = w(j) * coeff.get(j + 1, 0.0) - lamc * coeff.get(j, 0.0)
+    for i in range(2 * n + 1, -1, -1):  # ray indices in increasing order
+        tv = w[i] * pad[i] - lamc * pad[i + 1]
         resid = max(resid, abs(tv))
     ratio = resid / norm
     return Certificate("IN_upper", str(lam), n, ratio <= _pass_threshold(n, eps),
@@ -488,45 +493,56 @@ def _components(m: ValidatedModel):
 
 
 def _abs2_streams(m: ValidatedModel, comp, l_only: bool):
-    """The |w|**2 stream of each orbit of a component, each weight squared
-    once per certificate.
+    """The |w|**2 streams of a component.  Each stream maps a window length
+    nn to runs of |w|**2 values; the windows of nn consecutive entries of
+    the runs reach every point of the component.
 
-    Each stream maps a window length nn to a list of |w|**2 values whose
-    windows of nn consecutive entries start at every phase of a cycle, and
-    at every ray index from one alpha period below the lower lock bound to
-    one omega period past the upper one.  Windows further out repeat those.
+    A cycle's run starts a window at each of its phases.  A ray's runs start
+    one only where the window meets a cut, so only the cycle weights and the
+    overrides are squared, whatever the depth of the overrides.
     """
-    streams = []
-    for cid in comp["cycles"]:
-        a = [w.abs2() for w in m.cycle(cid).weights]
-        streams.append(lambda nn, a=a: [a[k % len(a)]
-                                        for k in range(len(a) + nn - 1)])
+    abs2 = {cid: [w.abs2() for w in m.cycle(cid).weights]
+            for cid in comp["cycles"]}
+    streams = [lambda nn, a=a: [[a[k % len(a)]
+                                 for k in range(len(a) + nn - 1)]]
+               for a in abs2.values()]
     for ray in comp["rays"]:
         if not (l_only and ray.is_forward):
-            streams.append(_ray_abs2_stream(m, ray))
+            streams.append(_ray_abs2_stream(ray, abs2))
     return streams
 
 
-def _ray_abs2_stream(m: ValidatedModel, ray: Ray):
-    """|w|**2 along copy 0 of a ray.  The other copies of a bundle carry the
-    cycle weights, which the cycle streams already cover."""
-    lock_neg, lock_pos = m.lock_bounds(ray)
-    pw = m.cycle(ray.omega.cycle).period
-    pa = m.cycle(ray.alpha.cycle).period if ray.is_two_sided else 0
-    # the core holds one locked period on each side of the exceptional window
-    lo = lock_neg - pa + 1 if pa else 0
-    core = [m.ray_weight(ray, i).abs2() for i in range(lo, lock_pos + pw)]
+def _ray_abs2_stream(ray: Ray, abs2: dict):
+    """|w|**2 along copy 0 of a ray, in runs around its cuts: the overrides
+    whose |w|**2 differs from the locked one and, on a two-sided ray, the
+    step from index -1 to index 0.  A window that meets no cut lies where
+    the ray follows one cycle (alpha below index 0, omega from 0 on), so it
+    equals a window of that cycle, whose stream covers it.  The other copies
+    of a bundle carry the cycle weights too."""
 
-    def at(i):
-        if i >= lock_pos:
-            i = lock_pos + (i - lock_pos) % pw
-        elif pa and i <= lock_neg:
-            i = lock_neg - (lock_neg - i) % pa
-        return core[i - lo]
+    def locked(i):
+        anchor = ray.omega if ray.is_forward or i >= 0 else ray.alpha
+        a = abs2[anchor.cycle]
+        return a[(anchor.phase + i) % len(a)]
+
+    over = {i: v.abs2() for i, v in ray.exceptional}
+    over = {i: v for i, v in over.items() if v != locked(i)}
 
     def stream(nn):
-        first = lock_neg - nn - pa if pa else 0
-        return [at(i) for i in range(first, lock_pos + pw + nn)]
+        # the window starts that hold a cut, as closed intervals
+        spans = sorted([(i - nn + 1, i) for i in over]
+                       + ([(1 - nn, -1)] if ray.is_two_sided else []))
+        runs = []
+        for lo, hi in spans:
+            lo = max(lo, 0) if ray.is_forward else lo
+            if lo > hi:
+                continue
+            if runs and lo <= runs[-1][1] + 1:
+                runs[-1][1] = max(runs[-1][1], hi)
+            else:
+                runs.append([lo, hi])
+        return [[over[i] if i in over else locked(i)
+                 for i in range(lo, hi + nn)] for lo, hi in runs]
 
     return stream
 
@@ -558,7 +574,8 @@ def _extreme_abs2_wn(streams, nn: int, want_max: bool):
     its |w|**2 streams: |w(k) ... w(phi^(nn-1) k)|**2 is the product of the
     |w|**2 along the orbit."""
     pick = max if want_max else min
-    return pick(v for s in streams for v in _window_products(s(nn), nn))
+    return pick(v for s in streams for run in s(nn)
+                for v in _window_products(run, nn))
 
 
 def out_certificate(m: ValidatedModel, lam: SpectralPoint,

@@ -1,11 +1,14 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from ckspec.cli import main
 from ckspec.exact import CirclePoint, QPoint, RationalComplex
 from ckspec.fixtures import load_fixture
-from ckspec.model import Anchor, Cycle, OrbitModel, Ray, validate
+from ckspec.model import (Anchor, Cycle, OrbitModel, Ray, model_to_json,
+                          validate)
 from ckspec.oracle import (MarginNotReached, NoEligibleOrbit, in_certificate,
                            out_certificate)
 
@@ -131,3 +134,23 @@ def test_margin_not_reached_inside_spectrum():
     m = load_fixture("half")
     with pytest.raises(MarginNotReached):
         out_certificate(m, Q(Fraction(1, 2)), horizon=50)
+
+
+def test_out_certificate_cost_does_not_grow_with_override_depth(tmp_path, capsys):
+    # one cycle of weight 1 under a forward ray with weight 2 at index d: at
+    # |lam| = 9/8 the Neumann bound holds once 2**2 is spread over n >= 8
+    # steps, however deep the override sits
+    outs = []
+    for d in (3_000, 3_000_000):
+        m = validate(OrbitModel("deep", (Cycle("A", (RC(1),)),), (
+            Ray("R", "forward", 1, Anchor("A", 0),
+                exceptional=((d, RC(2)),)),)))
+        path = tmp_path / f"deep{d}.json"
+        path.write_text(model_to_json(m), "utf-8")
+        start = time.process_time()
+        assert main(["certify", str(path), "--lambda=9/8,0"]) == 0
+        elapsed = time.process_time() - start
+        outs.append(capsys.readouterr().out)
+    assert '"route": "neumann"' in outs[0] and '"pass": true' in outs[0]
+    assert outs[1] == outs[0]
+    assert elapsed < 1.0, f"certify at depth 3,000,000 took {elapsed:.2f} s"

@@ -5,6 +5,7 @@ directly on the named structure; each case is a one-paragraph argument in
 the comments, independent of the classification engine.
 """
 
+import math
 import time
 from collections import Counter
 from fractions import Fraction
@@ -370,6 +371,82 @@ def _deep_windows(draw):
 @given(_deep_windows())
 def test_window_product_matches_stepwise_product_on_drawn_windows(m):
     _assert_window_products(m)
+
+
+def _full_stream_abs2_wn(m, comp, nn, l_only):
+    """|w_nn|**2 over a component, multiplying out every window of nn
+    weights: at each cycle phase, and at every ray start from
+    lock_neg - nn - pa (0 on a forward ray) to lock_pos + pw."""
+    vals = []
+    for cid in comp["cycles"]:
+        a = [w.abs2() for w in m.cycle(cid).weights]
+        vals += [math.prod(a[(ph + t) % len(a)] for t in range(nn))
+                 for ph in range(len(a))]
+    for ray in comp["rays"]:
+        if l_only and ray.is_forward:
+            continue
+        lock_neg, lock_pos = m.lock_bounds(ray)
+        pw = m.cycle(ray.omega.cycle).period
+        first = (0 if ray.is_forward
+                 else lock_neg - nn - m.cycle(ray.alpha.cycle).period)
+        full = [m.ray_weight(ray, i).abs2()
+                for i in range(first, lock_pos + pw + nn)]
+        vals += [math.prod(full[s:s + nn]) for s in range(len(full) - nn + 1)]
+    return vals
+
+
+def _assert_extremes_match_full_stream(m, lengths):
+    for comp in _components(m):
+        for l_only in (False, True):
+            streams = _abs2_streams(m, comp, l_only)
+            for nn in lengths:
+                vals = _full_stream_abs2_wn(m, comp, nn, l_only)
+                where = (m.name, comp["cycles"], nn, l_only)
+                assert _extreme_abs2_wn(streams, nn, True) == max(vals), where
+                assert _extreme_abs2_wn(streams, nn, False) == min(vals), where
+
+
+@st.composite
+def _cut_rays(draw):
+    """One ray into cycle A, forward or two-sided from A itself (alpha ==
+    omega, at an equal phase or not) or from a cycle B.  Its overrides,
+    up to 40 deep, may vanish, only rotate the locked weight (equal |w|**2)
+    or sit at index 0."""
+    cycles = [Cycle(c, tuple(draw(st.lists(_nonzero_weights, min_size=1,
+                                           max_size=5))))
+              for c in ("A", "B")]
+    omega = Anchor("A", draw(st.integers(0, cycles[0].period - 1)))
+    forward = draw(st.booleans())
+    alpha = None
+    if not forward:
+        cyc = draw(st.sampled_from(cycles))
+        phase = (omega.phase if cyc.id == "A" and draw(st.booleans())
+                 else draw(st.integers(0, cyc.period - 1)))
+        alpha = Anchor(cyc.id, phase)
+    idxs = draw(st.sets(st.integers(0 if forward else -40, 40), max_size=4))
+    if draw(st.booleans()):
+        idxs.add(0)
+    over = {}
+    for i in sorted(idxs):
+        anchor = omega if forward or i >= 0 else alpha
+        cyc = cycles[0] if anchor.cycle == "A" else cycles[1]
+        w = cyc.weights[(anchor.phase + i) % cyc.period]
+        over[i] = draw(st.sampled_from(
+            [RC(0), w.conj(), w * RC(0, 1), draw(_nonzero_weights)]))
+    ray = Ray("t", "forward" if forward else "two_sided", 1, omega, alpha,
+              tuple(over.items()))
+    return mk(cycles + [F_AUX], [ray, FWD_AUX])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_deep_windows(), _cut_rays()), st.integers(1, 64))
+def test_extreme_abs2_wn_matches_full_stream_on_drawn_rays(m, nn):
+    _assert_extremes_match_full_stream(m, [nn])
+
+
+def test_extreme_abs2_wn_matches_full_stream_on_fixtures_and_corpus():
+    for m in [load_fixture(name) for name in NAMES] + corpus():
+        _assert_extremes_match_full_stream(m, (1, 2, 3, 5, 8, 64))
 
 
 def test_deep_resonant_override_self_check_is_fast(tmp_path, capsys):
