@@ -12,9 +12,12 @@ Three kinds of numbers appear throughout:
   ``RootPoint`` is a chosen branch of a p-th root of a Gaussian rational.
 
 Every predicate is decided exactly, with integer and rational arithmetic
-only.  Where a branch of a root is tested, the argument enters through an
-integer wrap count (``RationalComplex.pow_wrap``), which sign tests on the
-real and imaginary parts decide.
+only.  Products of Gaussian rationals (``RationalComplex.product``, which
+``*`` and cycle products share) are formed over Z[i] with one common integer
+denominator and reduced once, at the end, rather than after every factor.
+Where a branch of a root is tested, the argument enters through an integer
+wrap count (``RationalComplex.pow_wrap``), which sign tests on the real and
+imaginary parts decide.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ class RationalComplex:
 
     @staticmethod
     def from_list(parts) -> "RationalComplex":
-        re_n, re_d, im_n, im_d = (int(x) for x in parts)
+        re_n, re_d, im_n, im_d = parts
         if re_d == 0 or im_d == 0:
             raise ZeroDivisionError("zero denominator in weight")
         return RationalComplex(Fraction(re_n, re_d), Fraction(im_n, im_d))
@@ -102,12 +105,29 @@ class RationalComplex:
         return [self.re.numerator, self.re.denominator,
                 self.im.numerator, self.im.denominator]
 
+    @staticmethod
+    def product(ws) -> "RationalComplex":
+        """The product of the Gaussian rationals ws (1 for none).
+
+        Each factor a/b + (c/d)i is written (ad + cb*i)/(bd).  The numerators
+        multiply in Z[i] and the denominators in Z, and the result is reduced
+        once, by one gcd per part."""
+        x, y, den = 1, 0, 1
+        for w in ws:
+            b, d = w.re.denominator, w.im.denominator
+            u, v = w.re.numerator * d, w.im.numerator * b
+            x, y = x * u - y * v, x * v + y * u
+            den *= b * d
+        return RationalComplex(Fraction(x, den), Fraction(y, den))
+
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re.numerator and not self.im.numerator
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        b, d = self.re.denominator, self.im.denominator
+        u, v = self.re.numerator * d, self.im.numerator * b
+        return Fraction(u * u + v * v, (b * d) ** 2)
 
     def conj(self) -> "RationalComplex":
         return RationalComplex(self.re, -self.im)
@@ -122,8 +142,7 @@ class RationalComplex:
         return RationalComplex(-self.re, -self.im)
 
     def __mul__(self, o: "RationalComplex") -> "RationalComplex":
-        return RationalComplex(self.re * o.re - self.im * o.im,
-                               self.re * o.im + self.im * o.re)
+        return RationalComplex.product((self, o))
 
     def __truediv__(self, o: "RationalComplex") -> "RationalComplex":
         d = o.abs2()

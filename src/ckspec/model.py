@@ -85,10 +85,7 @@ class Cycle:
     # same cycles share them.
     @cached_property
     def _product(self) -> RationalComplex:
-        out = RationalComplex.of(1)
-        for w in self.weights:
-            out = out * w
-        return out
+        return RationalComplex.product(self.weights)
 
     @cached_property
     def _gm(self) -> ExactRadius:
@@ -372,8 +369,10 @@ def _strict_int(x) -> bool:
 
 
 def _parse_weight(parts, where: str) -> RationalComplex:
+    # json.loads makes plain ints, so ``type(x) is int`` rejects bool just as
+    # _strict_int does, without a call per entry
     if (not isinstance(parts, list) or len(parts) != 4
-            or not all(_strict_int(x) for x in parts)):
+            or not all(type(x) is int for x in parts)):
         raise MalformedWeight(f"{where}: weight must be [reNum,reDen,imNum,imDen]")
     try:
         return RationalComplex.from_list(parts)

@@ -166,18 +166,18 @@ def _window_product(m: ValidatedModel, ray: Ray) -> RationalComplex:
     lock_neg, lock_pos = m.lock_bounds(ray)
     over = dict(ray.exceptional)
     cuts = sorted({lock_neg, 0, lock_pos} | set(over) | {k + 1 for k in over})
-    out = RC1
+    factors = []
     for lo, hi in zip(cuts, cuts[1:]):
         if lo in over:  # then hi == lo + 1
-            out = out * over[lo]
+            factors.append(over[lo])
             continue
         anchor = ray.omega if lo >= 0 else ray.alpha
         cyc = m.cycle(anchor.cycle)
         full, part = divmod(hi - lo, cyc.period)
-        out = out * cyc.weight_product() ** full
-        for i in range(lo, lo + part):
-            out = out * cyc.weights[(anchor.phase + i) % cyc.period]
-    return out
+        factors.append(cyc.weight_product() ** full)
+        factors += (cyc.weights[(anchor.phase + i) % cyc.period]
+                    for i in range(lo, lo + part))
+    return RationalComplex.product(factors)
 
 
 def _solve_resonant_graph(lam, actives, killed, edges) -> int:

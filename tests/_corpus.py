@@ -4,12 +4,15 @@ Models stay small (<= 6 cycles, <= 10 rays, weight numerators/denominators
 bounded by 16) but are built to hit every engine branch: zero weights on and
 off cycles, countable bundles, exceptional overrides including zeros,
 two-sided rays between cycles of equal and distinct radii, bare cycles.
+``malformed_weights`` gives model files whose one bad weight must be rejected.
 """
 
+import json
 import random
 from fractions import Fraction
 
 from ckspec.exact import RationalComplex
+from ckspec.fixtures import fixture_text
 from ckspec.model import OMEGA, Anchor, Cycle, OrbitModel, Ray, validate
 
 
@@ -73,3 +76,27 @@ def random_model(seed: int):
 
 def corpus(n: int = 100, base_seed: int = 20_240_901):
     return [random_model(base_seed + k) for k in range(n)]
+
+
+# a weight is [reNum, reDen, imNum, imDen] of JSON integers, never booleans
+_BAD_WEIGHTS = {
+    "true": [1, True, 0, 1], "float": [1, 1, 1.0, 1], "string": ["1", 1, 0, 1],
+    "null": [1, 1, 0, None], "three": [1, 1, 0], "five": [1, 1, 0, 1, 1],
+    "number": 7, "text": "1,1,0,1", "object": {"re": 1},
+}
+
+
+def malformed_weights():
+    """(case id, model JSON text, location prefix) for each bad weight, once
+    as a cycle weight and once as an exceptional entry of a ray."""
+    cases = []
+    for name, bad in _BAD_WEIGHTS.items():
+        doc = json.loads(fixture_text("zero"))
+        doc["cycles"][0]["weights"].append(bad)
+        cases.append((f"cycle-{name}", json.dumps(doc), "cycles[0]"))
+        doc = json.loads(fixture_text("zero"))
+        doc["rays"][0]["exceptional"].append(
+            [2, *bad] if isinstance(bad, list) else bad)
+        cases.append((f"exceptional-{name}", json.dumps(doc),
+                      "rays[0].exceptional[1]"))
+    return cases

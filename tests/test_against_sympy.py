@@ -9,6 +9,7 @@ m-th root of unity.  Distinct m-th roots of unity lie at least 1 apart for
 m <= 6, so it is 1 exactly when it lies within 1/2 of 1.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,46 @@ _TARGETS = ["power", "rotated", "scaled", "zero", "free"]
 def _target(power, kind, v, free):
     return {"power": power * v, "rotated": power * v * _DIRECTIONS[4],
             "scaled": power * RC(2), "zero": RC(0), "free": free}[kind]
+
+
+# parts up to 10**6 over 10**6, with zero parts and zero weights mixed in
+_big_fracs = st.one_of(st.just(Fraction(0)),
+                       st.builds(Fraction, st.integers(-10**6, 10**6),
+                                 st.integers(1, 10**6)))
+_big_gaussian = st.one_of(st.just(RC(0)),
+                          st.builds(RationalComplex, _big_fracs, _big_fracs))
+
+
+def _assert_reduced(*parts):
+    for q in parts:
+        assert type(q) is Fraction
+        assert q.denominator > 0
+        assert math.gcd(q.numerator, q.denominator) == 1
+
+
+@given(st.lists(_big_gaussian, max_size=12))
+@example([])
+@settings(max_examples=200, deadline=None)
+def test_product_matches_sympy(ws):
+    w = RationalComplex.product(ws)
+    _assert_reduced(w.re, w.im)
+    assert sympy.expand(_sym(w) - sympy.Mul(*map(_sym, ws))) == 0
+
+
+def test_product_of_no_factors_is_one():
+    w = RationalComplex.product([])
+    assert w == RC(1)
+    _assert_reduced(w.re, w.im)
+
+
+@given(_big_gaussian, _big_gaussian)
+@settings(max_examples=300, deadline=None)
+def test_mul_and_abs2_match_sympy(a, b):
+    ab, n = a * b, a.abs2()
+    _assert_reduced(ab.re, ab.im, n)
+    assert sympy.expand(_sym(ab) - _sym(a) * _sym(b)) == 0
+    assert sympy.Rational(n.numerator, n.denominator) == sympy.expand(
+        _sym(a) * sympy.conjugate(_sym(a)))
 
 
 # scaled directions put powers on the axes and on the negative reals often

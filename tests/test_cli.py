@@ -15,6 +15,8 @@ from ckspec.cli import main
 from ckspec.fixtures import NAMES, fixture_text
 from ckspec.model import model_to_json, parse_model_json
 
+from _corpus import malformed_weights
+
 GOLDEN_SVG = Path(__file__).parent / "golden" / "svg"
 
 
@@ -119,6 +121,16 @@ def test_exit_code_input_errors(tmp_path, capsys):
             assert main(["certify", str(half), "--lambda", lam,
                          "--horizon", horizon]) == 1
             assert "--horizon" in capsys.readouterr().err
+
+
+def test_malformed_weights_exit_1_with_a_located_message(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for case, text, prefix in malformed_weights():
+        path.write_text(text, "utf-8")
+        assert main(["analyze", str(path)]) == 1, case
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}: "), (case, err)
+        assert "Traceback" not in err, case
 
 
 @pytest.fixture

@@ -10,6 +10,8 @@ from ckspec.model import (Anchor, Cycle, DanglingAnchor, DuplicateId,
                           Ray, SchemaError, core_sets, load_model,
                           model_to_json, parse_model_json, validate)
 
+from _corpus import malformed_weights
+
 RC = RationalComplex.of
 ER = ExactRadius.from_fraction
 
@@ -161,19 +163,34 @@ def test_load_model_does_no_product_work(tmp_path, monkeypatch):
     paths.append(long)
 
     calls = []
-    mul = RationalComplex.__mul__
+    product = RationalComplex.product
 
-    def counting_mul(a, b):
+    def counting_product(ws):
         calls.append(1)
-        return mul(a, b)
+        return product(ws)
 
-    monkeypatch.setattr(RationalComplex, "__mul__", counting_mul)
+    monkeypatch.setattr(RationalComplex, "product", staticmethod(counting_product))
     models = [load_model(str(p)) for p in paths]
     assert calls == []
-    # the products are made on first use, once per cycle
+    # the products are made on first use, one kernel call per cycle
     cyc = models[-1].cycle("P")
     g = cyc.gm()
-    assert len(calls) == 120
+    assert len(calls) == 1
     assert cyc.gm() is g
     assert cyc.weight_product() is cyc.weight_product()
-    assert len(calls) == 120
+    assert len(calls) == 1
+    cycles = [c for m in models for c in m.cycles.values()]
+    for c in cycles:
+        c.gm()
+    assert len(calls) == len(cycles)
+
+
+_MALFORMED = malformed_weights()
+
+
+@pytest.mark.parametrize("text,prefix", [c[1:] for c in _MALFORMED],
+                         ids=[c[0] for c in _MALFORMED])
+def test_malformed_weight_is_rejected_with_its_location(text, prefix):
+    with pytest.raises(MalformedWeight) as info:
+        parse_model_json(text)
+    assert str(info.value).startswith(prefix + ":")
