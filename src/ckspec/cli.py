@@ -66,8 +66,7 @@ def cmd_certify(args) -> int:
     # sigma_2' lies within sigma_2, so every point of the semi-Fredholm
     # spectrum gets an upper certificate
     if report.sigma_2.member(lam):
-        cert = in_certificate(model, lam, "upper", horizon=args.horizon,
-                              eps=args.eps)
+        cert = in_certificate(model, lam, "upper", horizon=args.horizon)
     elif not report.sigma.member(lam):
         cert = out_certificate(model, lam, horizon=args.horizon)
     else:
@@ -120,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("model", help="model JSON file")
     pc.add_argument("--lambda", dest="lam", required=True,
                     metavar="a/b,c/d", help="spectral parameter")
-    pc.add_argument("--eps", type=float, default=1e-6,
-                    help="residual floor (default 1e-6)")
     pc.add_argument("--horizon", type=int, default=10_000,
                     help="truncation horizon (default 10000)")
     pc.set_defaults(func=cmd_certify)
@@ -148,7 +145,14 @@ def _join_lambda(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_lambda(argv))
+    try:
+        args = build_parser().parse_args(_join_lambda(argv))
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, but 2 means an internal
+        # inconsistency here; --help still exits 0
+        if e.code:
+            return EXIT_INPUT
+        raise
     # weights may have any number of digits: lift the cap that Python 3.10.7+
     # puts on int <-> str conversion while this call parses and prints
     capped = hasattr(sys, "set_int_max_str_digits")

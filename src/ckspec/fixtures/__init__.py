@@ -15,7 +15,3 @@ def fixture_text(name: str) -> str:
 
 def load_fixture(name: str) -> ValidatedModel:
     return parse_model_json(fixture_text(name))
-
-
-def all_fixtures() -> list[ValidatedModel]:
-    return [load_fixture(n) for n in NAMES]

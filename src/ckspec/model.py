@@ -282,7 +282,7 @@ def validate(raw: OrbitModel) -> ValidatedModel:
         if obj.id in seen:
             raise DuplicateId(f"duplicate id {obj.id!r}")
         seen.add(obj.id)
-    cycle_ids = {c.id for c in raw.cycles}
+    periods = {c.id: c.period for c in raw.cycles}
     for c in raw.cycles:
         if c.period < 1:
             raise MalformedWeight(f"cycle {c.id!r} must have period >= 1")
@@ -303,11 +303,10 @@ def validate(raw: OrbitModel) -> ValidatedModel:
                                             or r.multiplicity < 1):
                 raise SchemaError(f"ray {r.id!r}: bad multiplicity")
         for side, a in anchors:
-            if a.cycle not in cycle_ids:
+            if a.cycle not in periods:
                 raise DanglingAnchor(f"ray {r.id!r} {side}-anchored to unknown "
                                      f"cycle {a.cycle!r}")
-            period = next(c.period for c in raw.cycles if c.id == a.cycle)
-            if not (0 <= a.phase < period):
+            if not (0 <= a.phase < periods[a.cycle]):
                 raise DanglingAnchor(f"ray {r.id!r}: {side} phase {a.phase} out of "
                                      f"range for cycle {a.cycle!r}")
         idxs = [i for i, _ in r.exceptional]

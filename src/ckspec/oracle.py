@@ -36,6 +36,9 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, islice
+from operator import add
 
 from .exact import (INF, QPoint, RationalComplex, SpectralPoint,
                     is_infinite)
@@ -156,6 +159,12 @@ def _transport_ratio(m: ValidatedModel, ray: Ray) -> Mono:
     return ratios[ray.id]
 
 
+def _anchor_at(ray: Ray, i: int):
+    """The anchor whose cycle ray index i follows once past the locks: the
+    omega cycle on a forward ray or from index 0 on, else the alpha cycle."""
+    return ray.omega if ray.is_forward or i >= 0 else ray.alpha
+
+
 def _window_product(m: ValidatedModel, ray: Ray) -> RationalComplex:
     """The product of the copy-0 weights at ray indices lock_neg <= i <
     lock_pos, cut at index 0 and around each override.  Between the cuts
@@ -171,7 +180,7 @@ def _window_product(m: ValidatedModel, ray: Ray) -> RationalComplex:
         if lo in over:  # then hi == lo + 1
             factors.append(over[lo])
             continue
-        anchor = ray.omega if lo >= 0 else ray.alpha
+        anchor = _anchor_at(ray, lo)
         cyc = m.cycle(anchor.cycle)
         full, part = divmod(hi - lo, cyc.period)
         factors.append(cyc.weight_product() ** full)
@@ -262,22 +271,10 @@ def chain_kernel_dim(m: ValidatedModel, lam: SpectralPoint):
 
 
 def _kernel_dim_at_zero(m: ValidatedModel):
-    # ker T = continuous functions vanishing on phi({w != 0}); the free spots
-    # are the heads plus the images of the zeros of w
-    h = m.heads_count()
-    infinite = is_infinite(h)
-    total = 0 if infinite else h
-    for cid, cyc in m.cycles.items():
-        incident = m.incident_rays(cid)
-        for w in cyc.weights:
-            if w.is_zero:
-                if incident:
-                    infinite = True  # the zero repeats along locked rays
-                else:
-                    total += 1
-    for ray in m.raw.rays:
-        total += sum(1 for _, v in ray.exceptional if v.is_zero)
-    return INF if infinite else total
+    # ker T = continuous functions vanishing on phi({w != 0}); phi is
+    # injective, so the free spots are the heads plus one image per zero of w
+    h, zeros = m.heads_count(), _defect_dim_at_zero(m)
+    return INF if is_infinite(h) or is_infinite(zeros) else h + zeros
 
 
 def chain_defect_dim(m: ValidatedModel, lam: SpectralPoint):
@@ -338,96 +335,75 @@ class Certificate:
         }
 
 
-def _pass_threshold(n: int, eps: float) -> float:
-    return max(5.0 / math.sqrt(n), eps)
+def _pass_threshold(n: int) -> float:
+    return 5.0 / math.sqrt(n)
 
 
-def _locked_weights(m: ValidatedModel, ray: Ray, base: int):
-    """i -> the weight at ray index i as a complex, for the indices on the
-    side of base (base >= 0: the omega side, else the alpha side) that lie
-    past its lock bound, or on a copy without overrides.  There the ray
-    follows a cycle, so one period is converted once and indexed modulo the
-    period."""
-    anchor = ray.omega if ray.is_forward or base >= 0 else ray.alpha
+def _locked_complex(m: ValidatedModel, ray: Ray, base: int, steps) -> list:
+    """The weights at ray indices base + t, t in steps, as complex numbers.
+    The indices lie on the side of base past its lock bound, or on a copy
+    without overrides, where the ray follows one cycle: one period of it is
+    converted once and indexed modulo the period."""
+    anchor = _anchor_at(ray, base)
     per = [w.to_complex() for w in m.cycle(anchor.cycle).weights]
-    return lambda i: per[(anchor.phase + i) % len(per)]
+    return [per[(anchor.phase + base + t) % len(per)] for t in steps]
 
 
-def _upper_window_certificate(m, lam, ray, base, n, eps) -> Certificate:
-    """Eq-style windowed bump along phi-preimages of a deep tail point."""
+def _window_certificate(m, lam, ray, base, n, kind) -> Certificate:
+    """Windowed geometric bump of 2n + 1 steps along a locked ray tail.
+
+    IN_upper runs down the phi-preimages of ray index base, so w[i] is the
+    weight at base - i, and it measures the sup norm.  IN_lower, the dual
+    bump, is pushed forward from base, so w[i] is the weight at base + i - 1,
+    and it measures the l1 norm, summed in increasing ray index."""
     lamc = lam.to_complex()
     s = 1.0 / math.sqrt(n)
-    # w[i] and coeff[i] belong to ray index base - i, which lies past the
-    # lock, so the weights repeat one period of the cycle
-    anchor = ray.omega if ray.is_forward or base >= 0 else ray.alpha
-    per = [v.to_complex() for v in m.cycle(anchor.cycle).weights]
-    w = [per[(anchor.phase + base - i) % len(per)] for i in range(2 * n + 2)]
+    upper = kind == "IN_upper"
+    w = _locked_complex(m, ray, base, range(0, -2 * n - 2, -1) if upper
+                        else range(-1, 2 * n + 1))
     coeff = []
-    u = 1.0 + 0.0j  # lam**(-i) * w_i(k_{base-i}), maintained incrementally
+    u = 1.0 + 0.0j  # lam**(-i) times the product of w[1..i]
     for i in range(0, 2 * n + 1):
         if i > 0:
             u = u * w[i] / lamc
         coeff.append((1.0 - s) ** abs(i - n) * u)
-    norm = max(abs(c) for c in coeff)
     pad = [0.0, *coeff, 0.0]  # pad[i + 1] == coeff[i]
-    resid = 0.0
-    for i in range(2 * n + 1, -1, -1):  # ray indices in increasing order
-        tv = w[i] * pad[i] - lamc * pad[i + 1]
-        resid = max(resid, abs(tv))
+    terms = (abs(wi * a - lamc * b)
+             for wi, a, b in zip(w, pad, islice(pad, 1, None)))
+    if upper:
+        resid, norm = max(chain((0.0,), terms)), max(map(abs, coeff))
+    else:
+        # a plain running sum, the same on every Python: sum() compensates
+        # its rounding from 3.12 on
+        resid, norm = reduce(add, terms, 0.0), sum(map(abs, coeff))
     ratio = resid / norm
-    return Certificate("IN_upper", str(lam), n, ratio <= _pass_threshold(n, eps),
+    return Certificate(kind, str(lam), n, ratio <= _pass_threshold(n),
                        residual_ratio=ratio,
                        details={"ray": ray.id, "base_index": base})
 
 
-def _lower_window_certificate(m, lam, ray, base, n, eps) -> Certificate:
-    """Dual windowed bump pushed forward along the ray."""
-    lamc = lam.to_complex()
-    s = 1.0 / math.sqrt(n)
-    w = _locked_weights(m, ray, base)
-    coeff = {}
-    u = 1.0 + 0.0j  # lam**(-i) * w_i(k_base)
-    for i in range(0, 2 * n + 1):
-        if i > 0:
-            u = u * w(base + i - 1) / lamc
-        coeff[base + i] = (1.0 - s) ** abs(i - n) * u
-    norm = sum(abs(c) for c in coeff.values())
-    resid = 0.0
-    for j in range(base, base + 2 * n + 2):
-        tv = w(j - 1) * coeff.get(j - 1, 0.0) if j - 1 in coeff else 0.0
-        tv -= lamc * coeff.get(j, 0.0)
-        resid += abs(tv)
-    ratio = resid / norm
-    return Certificate("IN_lower", str(lam), n, ratio <= _pass_threshold(n, eps),
-                       residual_ratio=ratio,
-                       details={"ray": ray.id, "base_index": base})
-
-
-def _eigenvector_certificate(m, lam, ray, n, eps, kind) -> Certificate:
+def _eigenvector_certificate(m, lam, ray, n, kind) -> Certificate:
     """Exact decaying eigenvector on a bundle copy without overrides in the
     |lam| < gm regime, truncated at the horizon; the only residual is the
     cut."""
     lamc = lam.to_complex()
-    w = _locked_weights(m, ray, 0)
-    coeff = {0: 1.0 + 0.0j}
+    w = _locked_complex(m, ray, 0, range(n + 1))
+    coeff = [1.0 + 0.0j]
     for i in range(n):
-        coeff[i + 1] = lamc * coeff[i] / w(i)
-    norm = max(abs(c) for c in coeff.values())
-    resid = 0.0
-    for j in range(0, n + 1):
-        tv = w(j) * coeff.get(j + 1, 0.0) - lamc * coeff[j]
-        resid = max(resid, abs(tv))
-    ratio = resid / norm
-    return Certificate(kind, str(lam), n, ratio <= _pass_threshold(n, eps),
+        coeff.append(lamc * coeff[i] / w[i])
+    pad = [*coeff, 0.0]  # cut past the horizon
+    resid = max(chain((0.0,), (abs(wj * b - lamc * a) for wj, a, b
+                               in zip(w, pad, islice(pad, 1, None)))))
+    ratio = resid / max(map(abs, coeff))
+    return Certificate(kind, str(lam), n, ratio <= _pass_threshold(n),
                        residual_ratio=ratio,
                        details={"ray": ray.id, "exact_eigenvector": True})
 
 
-def _zero_certificate(m, lam, side, n, eps) -> Certificate:
+def _zero_certificate(m, kind, n) -> Certificate:
     """lam == 0 witnesses: head masses (upper) are killed by T'' exactly;
     Dirac masses at zeros of w (lower) are killed by T' exactly."""
-    kind = "IN_upper" if side == "upper" else "IN_lower"
-    if side == "upper":
+    if kind == "IN_upper":
         for ray in m.forward_rays():
             if ray.multiplicity == OMEGA:
                 return Certificate(kind, "0", n, True, residual_ratio=0.0,
@@ -440,41 +416,32 @@ def _zero_certificate(m, lam, side, n, eps) -> Certificate:
 
 
 def in_certificate(m: ValidatedModel, lam: SpectralPoint, side: str,
-                   horizon: int = 10_000, eps: float = 1e-6) -> Certificate:
+                   horizon: int = 10_000) -> Certificate:
     """Certify the engine's claim lam in sigma_2 (upper) / sigma_2' (lower)."""
     if horizon < 4:
         raise ValueError("horizon must be at least 4")
     n = horizon
+    kind = "IN_upper" if side == "upper" else "IN_lower"
     if lam.is_zero:
-        return _zero_certificate(m, lam, side, n, eps)
+        return _zero_certificate(m, kind, n)
     r = lam.modulus()
-    # circle witnesses: a locked ray tail at a cycle of matching radius
-    for cid, cyc in m.cycles.items():
-        if cyc.gm() != r:
-            continue
-        for ray in m.rays_into(cid):
-            # windows sit past the lock index, where every copy is locked
-            _, lock_pos = m.lock_bounds(ray)
-            if side == "upper":
-                return _upper_window_certificate(m, lam, ray,
-                                                 lock_pos + 2 * n + 1, n, eps)
-            return _lower_window_certificate(m, lam, ray, lock_pos, n, eps)
+    # circle witnesses: the locked tail of the first ray incident to a cycle
+    # of radius |lam|.  The upper bump reads ray indices lo .. lo + 2n + 1
+    # and the lower one lo .. lo + 2n (its weight at lo - 1 meets a zero
+    # pad).  They lie past the lock, where every copy is locked: from
+    # lock_pos up on the omega end, up to lock_neg on the alpha end.
+    for cid in m.derived(_radius_index)[2].get(r, ()):
         for ray in m.incident_rays(cid):
-            if not ray.is_two_sided:
-                continue
             lock_neg, lock_pos = m.lock_bounds(ray)
-            on_omega = ray.omega.cycle == cid
-            if side == "upper":
-                base = lock_pos + 2 * n + 1 if on_omega else lock_neg
-                return _upper_window_certificate(m, lam, ray, base, n, eps)
-            base = lock_pos if on_omega else lock_neg - 2 * n - 1
-            return _lower_window_certificate(m, lam, ray, base, n, eps)
+            lo = lock_pos if ray.omega.cycle == cid else lock_neg - 2 * n - 1
+            base = lo + 2 * n + 1 if side == "upper" else lo
+            return _window_certificate(m, lam, ray, base, n, kind)
     if side == "upper":
         # disk interior: exact eigenvectors on the copies of a countable
         # bundle that carry no overrides (all but copy 0, when it has some)
         for ray in m.forward_rays():
             if ray.multiplicity == OMEGA and r < m.cycle(ray.omega.cycle).gm():
-                return _eigenvector_certificate(m, lam, ray, n, eps, "IN_upper")
+                return _eigenvector_certificate(m, lam, ray, n, kind)
     raise NoEligibleOrbit(f"no witness orbit for lam = {lam} ({side})")
 
 
@@ -521,7 +488,7 @@ def _ray_abs2_stream(ray: Ray, abs2: dict):
     of a bundle carry the cycle weights too."""
 
     def locked(i):
-        anchor = ray.omega if ray.is_forward or i >= 0 else ray.alpha
+        anchor = _anchor_at(ray, i)
         a = abs2[anchor.cycle]
         return a[(anchor.phase + i) % len(a)]
 

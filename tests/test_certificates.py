@@ -3,14 +3,18 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ckspec.cli import main
 from ckspec.exact import CirclePoint, QPoint, RationalComplex
-from ckspec.fixtures import load_fixture
-from ckspec.model import (Anchor, Cycle, OrbitModel, Ray, model_to_json,
-                          validate)
+from ckspec.fixtures import NAMES, load_fixture
+from ckspec.model import (OMEGA, Anchor, Cycle, OrbitModel, Ray,
+                          model_to_json, validate)
 from ckspec.oracle import (MarginNotReached, NoEligibleOrbit, in_certificate,
                            out_certificate)
+from ckspec.spectra import sample_grid
+
+from _corpus import corpus
 
 RC = RationalComplex.of
 Q = QPoint.of
@@ -154,3 +158,167 @@ def test_out_certificate_cost_does_not_grow_with_override_depth(tmp_path, capsys
     assert '"route": "neumann"' in outs[0] and '"pass": true' in outs[0]
     assert outs[1] == outs[0]
     assert elapsed < 1.0, f"certify at depth 3,000,000 took {elapsed:.2f} s"
+
+
+# ---------------------------------------------------------------------------
+# IN certificates against the three bump loops that one builder replaced:
+# each loop is kept here as it was, with its own period reader and witness
+# search, and the floats must agree bit for bit
+
+
+def _ref_locked_weights(m, ray, base):
+    anchor = ray.omega if ray.is_forward or base >= 0 else ray.alpha
+    per = [w.to_complex() for w in m.cycle(anchor.cycle).weights]
+    return lambda i: per[(anchor.phase + i) % len(per)]
+
+
+def _ref_upper_window(m, lam, ray, base, n):
+    lamc = lam.to_complex()
+    s = 1.0 / math.sqrt(n)
+    anchor = ray.omega if ray.is_forward or base >= 0 else ray.alpha
+    per = [v.to_complex() for v in m.cycle(anchor.cycle).weights]
+    w = [per[(anchor.phase + base - i) % len(per)] for i in range(2 * n + 2)]
+    coeff = []
+    u = 1.0 + 0.0j
+    for i in range(0, 2 * n + 1):
+        if i > 0:
+            u = u * w[i] / lamc
+        coeff.append((1.0 - s) ** abs(i - n) * u)
+    norm = max(abs(c) for c in coeff)
+    pad = [0.0, *coeff, 0.0]
+    resid = 0.0
+    for i in range(2 * n + 1, -1, -1):
+        tv = w[i] * pad[i] - lamc * pad[i + 1]
+        resid = max(resid, abs(tv))
+    return resid / norm
+
+
+def _ref_lower_window(m, lam, ray, base, n):
+    lamc = lam.to_complex()
+    s = 1.0 / math.sqrt(n)
+    w = _ref_locked_weights(m, ray, base)
+    coeff = {}
+    u = 1.0 + 0.0j
+    for i in range(0, 2 * n + 1):
+        if i > 0:
+            u = u * w(base + i - 1) / lamc
+        coeff[base + i] = (1.0 - s) ** abs(i - n) * u
+    norm = sum(abs(c) for c in coeff.values())
+    resid = 0.0
+    for j in range(base, base + 2 * n + 2):
+        tv = w(j - 1) * coeff.get(j - 1, 0.0) if j - 1 in coeff else 0.0
+        tv -= lamc * coeff.get(j, 0.0)
+        resid += abs(tv)
+    return resid / norm
+
+
+def _ref_eigenvector(m, lam, ray, n):
+    lamc = lam.to_complex()
+    w = _ref_locked_weights(m, ray, 0)
+    coeff = {0: 1.0 + 0.0j}
+    for i in range(n):
+        coeff[i + 1] = lamc * coeff[i] / w(i)
+    norm = max(abs(c) for c in coeff.values())
+    resid = 0.0
+    for j in range(0, n + 1):
+        tv = w(j) * coeff.get(j + 1, 0.0) - lamc * coeff[j]
+        resid = max(resid, abs(tv))
+    return resid / norm
+
+
+def _ref_in_certificate(m, lam, side, n):
+    """(kind, residual ratio, details) of the witness the loops chose, or
+    None where they found none."""
+    kind = "IN_upper" if side == "upper" else "IN_lower"
+    bump = _ref_upper_window if side == "upper" else _ref_lower_window
+    r = lam.modulus()
+    for cid, cyc in m.cycles.items():
+        if cyc.gm() != r:
+            continue
+        for ray in m.rays_into(cid):
+            _, lock_pos = m.lock_bounds(ray)
+            base = lock_pos + 2 * n + 1 if side == "upper" else lock_pos
+            return kind, bump(m, lam, ray, base, n), {"ray": ray.id,
+                                                      "base_index": base}
+        for ray in m.incident_rays(cid):
+            if not ray.is_two_sided:
+                continue
+            lock_neg, lock_pos = m.lock_bounds(ray)
+            on_omega = ray.omega.cycle == cid
+            if side == "upper":
+                base = lock_pos + 2 * n + 1 if on_omega else lock_neg
+            else:
+                base = lock_pos if on_omega else lock_neg - 2 * n - 1
+            return kind, bump(m, lam, ray, base, n), {"ray": ray.id,
+                                                      "base_index": base}
+    if side == "upper":
+        for ray in m.forward_rays():
+            if ray.multiplicity == OMEGA and r < m.cycle(ray.omega.cycle).gm():
+                return kind, _ref_eigenvector(m, lam, ray, n), {
+                    "ray": ray.id, "exact_eigenvector": True}
+    return None
+
+
+def _assert_in_certificates_match_the_loops(m):
+    """Every nonzero sample_grid point, both sides, horizons 4, 37, 400.
+    Returns the number of certificates compared.  (At 0 the witnesses are
+    exact, with residual 0, and no bump is built.)"""
+    compared = 0
+    for lam in sample_grid(m):
+        if lam.is_zero:
+            continue
+        for side in ("upper", "lower"):
+            for n in (4, 37, 400):
+                where = (m.name, str(lam), side, n)
+                want = _ref_in_certificate(m, lam, side, n)
+                if want is None:
+                    with pytest.raises(NoEligibleOrbit):
+                        in_certificate(m, lam, side, horizon=n)
+                    continue
+                kind, ratio, details = want
+                got = in_certificate(m, lam, side, horizon=n)
+                assert got.residual_ratio == ratio, where
+                assert got.kind == kind, where
+                assert got.passed == (ratio <= max(5.0 / math.sqrt(n), 1e-6)), where
+                assert got.details == details, where
+                compared += 1
+    return compared
+
+
+def test_in_certificates_match_the_loops_on_fixtures_and_corpus():
+    models = [load_fixture(name) for name in NAMES] + corpus()
+    compared = sum(_assert_in_certificates_match_the_loops(m) for m in models)
+    assert compared > 1_000
+
+
+_small_weights = st.builds(
+    RationalComplex, st.fractions(-3, 3, max_denominator=3),
+    st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-2)])).filter(
+        lambda w: not w.is_zero)
+
+
+@st.composite
+def _two_sided_windows(draw):
+    """Cycles A and B of periods 1..4 joined by a two-sided ray from B to A
+    with overrides on both sides of index 0, up to 40 away, and a forward
+    ray into A, into a bundle on A, or into a cycle F of radius 1, so that
+    B's circle is reached from the alpha end alone."""
+    cycles = [Cycle(c, tuple(draw(st.lists(_small_weights, min_size=1,
+                                           max_size=4))))
+              for c in ("A", "B")]
+    over = draw(st.dictionaries(st.integers(-40, 40), _small_weights,
+                                min_size=1, max_size=4))
+    omega = Anchor("A", draw(st.integers(0, cycles[0].period - 1)))
+    alpha = Anchor("B", draw(st.integers(0, cycles[1].period - 1)))
+    ray = Ray("t", "two_sided", 1, omega, alpha, tuple(sorted(over.items())))
+    into = draw(st.sampled_from(["A", "F"]))
+    fwd = Ray("fw", "forward", draw(st.sampled_from([1, OMEGA])),
+              Anchor(into, 0))
+    return validate(OrbitModel("drawn", (*cycles, Cycle("F", (RC(1),))),
+                               (ray, fwd)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_sided_windows())
+def test_in_certificates_match_the_loops_on_drawn_two_sided_rays(m):
+    assert _assert_in_certificates_match_the_loops(m) > 0

@@ -121,6 +121,20 @@ def test_exit_code_input_errors(tmp_path, capsys):
             assert main(["certify", str(half), "--lambda", lam,
                          "--horizon", horizon]) == 1
             assert "--horizon" in capsys.readouterr().err
+    # usage errors are input errors too: argparse alone would exit 2, the
+    # code of an internal inconsistency
+    for argv, where in [(["certify", str(half)], "--lambda"),
+                        (["certify", "--lambda=0,1"], "model"),
+                        (["certify", str(half), "--lambda=0,1",
+                          "--horizon", "abc"], "--horizon"),
+                        (["certify", str(half), "--lambda=0,1",
+                          "--eps", "1e-3"], "--eps")]:
+        assert main(argv) == 1, argv
+        assert where in capsys.readouterr().err
+    with pytest.raises(SystemExit) as help_exit:
+        main(["certify", "--help"])
+    assert help_exit.value.code == 0
+    assert "--horizon" in capsys.readouterr().out
 
 
 def test_malformed_weights_exit_1_with_a_located_message(tmp_path, capsys):

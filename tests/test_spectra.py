@@ -321,6 +321,14 @@ def _ladder(n_cycles: int, seed: str):
     return validate(OrbitModel(f"ladder-{n_cycles}", cycles, tuple(rays)))
 
 
+def test_validate_is_linear_in_the_cycle_count():
+    raw = _ladder(4096, "ladder/4096").raw
+    start = time.process_time()
+    validate(raw)
+    elapsed = time.process_time() - start
+    assert elapsed < 0.3, f"validate on 4,096 cycles took {elapsed:.2f} s"
+
+
 def test_essential_spectra_on_1024_cycles_is_fast():
     m = _ladder(1024, "ladder/1024")
     start = time.process_time()
