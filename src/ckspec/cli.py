@@ -17,9 +17,9 @@ from fractions import Fraction
 from . import fixtures
 from .exact import QPoint, RationalComplex
 from .model import ModelError, load_model
-from .oracle import (Certificate, MarginNotReached, NoEligibleOrbit,
-                     chain_defect_dim, chain_kernel_dim, in_certificate,
-                     out_certificate)
+from .oracle import (DEFAULT_HORIZON, Certificate, MarginNotReached,
+                     NoEligibleOrbit, chain_defect_dim, chain_kernel_dim,
+                     in_certificate, out_certificate)
 from .spectra import (InternalInconsistency, essential_spectra, fmt_dim,
                       fredholm_data, self_check)
 
@@ -119,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("model", help="model JSON file")
     pc.add_argument("--lambda", dest="lam", required=True,
                     metavar="a/b,c/d", help="spectral parameter")
-    pc.add_argument("--horizon", type=int, default=10_000,
-                    help="truncation horizon (default 10000)")
+    pc.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
+                    help="truncation horizon (default %(default)s)")
     pc.set_defaults(func=cmd_certify)
 
     pf = sub.add_parser("fixtures", help="list or emit built-in fixtures")

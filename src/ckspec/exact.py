@@ -175,6 +175,13 @@ class RationalComplex:
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
+    def arg(self) -> float:
+        """arg self, from its parts scaled into the float range (0 at 0)."""
+        big = max(abs(self.re), abs(self.im))
+        if not big:
+            return 0.0
+        return math.atan2(float(self.im / big), float(self.re / big))
+
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)
@@ -442,8 +449,7 @@ class RootPoint(SpectralPoint):
 
     def to_complex(self) -> complex:
         rad = float(self.modulus())
-        theta = (math.atan2(float(self.w.im), float(self.w.re))
-                 + 2 * math.pi * self.branch) / self.p
+        theta = (self.w.arg() + 2 * math.pi * self.branch) / self.p
         return rad * complex(math.cos(theta), math.sin(theta))
 
     def __str__(self):

@@ -335,8 +335,14 @@ class Certificate:
         }
 
 
-def _pass_threshold(n: int) -> float:
-    return 5.0 / math.sqrt(n)
+DEFAULT_HORIZON = 10_000  # the truncation horizon of a certificate, unless given
+
+
+def _pass_threshold(n: int, lamc: complex) -> float:
+    """The largest residual ratio an IN certificate passes with.  The bump's
+    residual grows like |lam|/sqrt(n), so the bound scales with |lam| above
+    the unit circle."""
+    return 5.0 * max(1.0, abs(lamc)) / math.sqrt(n)
 
 
 def _locked_complex(m: ValidatedModel, ray: Ray, base: int, steps) -> list:
@@ -377,7 +383,7 @@ def _window_certificate(m, lam, ray, base, n, kind) -> Certificate:
         # its rounding from 3.12 on
         resid, norm = reduce(add, terms, 0.0), sum(map(abs, coeff))
     ratio = resid / norm
-    return Certificate(kind, str(lam), n, ratio <= _pass_threshold(n),
+    return Certificate(kind, str(lam), n, ratio <= _pass_threshold(n, lamc),
                        residual_ratio=ratio,
                        details={"ray": ray.id, "base_index": base})
 
@@ -395,7 +401,7 @@ def _eigenvector_certificate(m, lam, ray, n, kind) -> Certificate:
     resid = max(chain((0.0,), (abs(wj * b - lamc * a) for wj, a, b
                                in zip(w, pad, islice(pad, 1, None)))))
     ratio = resid / max(map(abs, coeff))
-    return Certificate(kind, str(lam), n, ratio <= _pass_threshold(n),
+    return Certificate(kind, str(lam), n, ratio <= _pass_threshold(n, lamc),
                        residual_ratio=ratio,
                        details={"ray": ray.id, "exact_eigenvector": True})
 
@@ -416,7 +422,7 @@ def _zero_certificate(m, kind, n) -> Certificate:
 
 
 def in_certificate(m: ValidatedModel, lam: SpectralPoint, side: str,
-                   horizon: int = 10_000) -> Certificate:
+                   horizon: int = DEFAULT_HORIZON) -> Certificate:
     """Certify the engine's claim lam in sigma_2 (upper) / sigma_2' (lower)."""
     if horizon < 4:
         raise ValueError("horizon must be at least 4")
@@ -546,7 +552,7 @@ def _extreme_abs2_wn(streams, nn: int, want_max: bool):
 
 
 def out_certificate(m: ValidatedModel, lam: SpectralPoint,
-                    horizon: int = 200) -> Certificate:
+                    horizon: int = DEFAULT_HORIZON) -> Certificate:
     """Certify lam outside the spectrum, component by component.
 
     Per component, one of three rigorous routes must apply within the

@@ -45,8 +45,10 @@ class RadialSet:
 
     # --- queries -----------------------------------------------------------
 
-    def radial_contains(self, r: ExactRadius) -> bool:
-        return _covers(self.annuli, r)
+    def radial_contains(self, lo: ExactRadius,
+                        hi: ExactRadius | None = None) -> bool:
+        """Whether one annulus holds every radius from lo to hi (default lo)."""
+        return _covers(self.annuli, lo, lo if hi is None else hi)
 
     def member(self, lam: SpectralPoint) -> bool:
         """Exact membership of a spectral point."""
@@ -59,10 +61,8 @@ class RadialSet:
                 for w, p in self.root_sets for j in range(p)]
 
     def issubset(self, other: "RadialSet") -> bool:
-        for lo, hi in self.annuli:
-            if not any(olo <= lo and hi <= ohi for olo, ohi in other.annuli):
-                return False
-        return all(other.member(pt) for pt in self.point_members())
+        return (all(_covers(other.annuli, lo, hi) for lo, hi in self.annuli)
+                and all(other.member(pt) for pt in self.point_members()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RadialSet):
@@ -129,7 +129,8 @@ def canonicalize(annuli=(), root_sets=()) -> RadialSet:
             rs = ORIGIN  # z**p == 0 only at z == 0
         if rs in roots:
             continue
-        if not _covers(ann, _root_radius(rs)):
+        r = _root_radius(rs)
+        if not _covers(ann, r, r):
             roots.append(rs)
     # drop root sets already covered by another root set
     roots = [a for a in roots
@@ -144,12 +145,12 @@ def _root_radius(rs: tuple[RationalComplex, int]) -> ExactRadius:
     return ExactRadius(w.abs2(), p)
 
 
-def _covers(ann, r: ExactRadius) -> bool:
-    """Whether some annulus of a canonical list holds radius r.  The annuli
-    are sorted and disjoint, so only the last one starting at or below r
-    can, and one bisection finds it."""
-    i = bisect_right(ann, r, key=lambda a: a[0])
-    return i > 0 and r <= ann[i - 1][1]
+def _covers(ann, lo: ExactRadius, hi: ExactRadius) -> bool:
+    """Whether one annulus of a canonical list holds every radius from lo to
+    hi.  The annuli are sorted and disjoint, so only the last one starting
+    at or below lo can, and one bisection finds it."""
+    i = bisect_right(ann, lo, key=lambda a: a[0])
+    return i > 0 and hi <= ann[i - 1][1]
 
 
 def _merge_annuli(ann):
@@ -284,14 +285,6 @@ def _in_gaps(r: ExactRadius, gaps: list[RadialGap]) -> bool:
 # SVG rendering
 
 
-def _angle(z: RationalComplex) -> float:
-    """arg z, from its parts scaled into the float range."""
-    big = max(abs(z.re), abs(z.im))
-    if not big:
-        return 0.0
-    return math.atan2(float(z.im / big), float(z.re / big))
-
-
 def render_svg(named_sets: list[tuple[str, RadialSet]], size: int = 240) -> str:
     """Small-multiple plot: one panel per named set, annuli as rings.
 
@@ -334,7 +327,7 @@ def render_svg(named_sets: list[tuple[str, RadialSet]], size: int = 240) -> str:
             w, p = rs
             rad = scaled(_root_radius(rs))
             for j in range(p):
-                theta = (_angle(w) + 2 * math.pi * j) / p
+                theta = (w.arg() + 2 * math.pi * j) / p
                 shapes.append(f'<circle cx="{cx + rad * math.cos(theta)}" '
                               f'cy="{cy - rad * math.sin(theta)}" r="2.5" '
                               f'fill="#d62728"/>')

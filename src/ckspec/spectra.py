@@ -115,18 +115,31 @@ class ZeroReport:
                 "in_sigma5": self.in_sigma5}
 
 
-@dataclass
-class StratumRow:
+@dataclass(frozen=True)
+class Stratum:
+    """An open radial stratum (lo, hi) between consecutive critical radii
+    (hi is None above the largest), its exact rational sample, and the
+    Fredholm data that hold on all of it.  Lower semi-Fredholmness fails
+    only on critical circles, so it holds on every stratum."""
+
     lo: ExactRadius
     hi: ExactRadius | None
     sample: Fraction
-    data: FredholmData
+    dim_ker: object  # int or INF
+    defect: int
+    upper: bool
+
+    @property
+    def index(self) -> int | None:
+        return self.dim_ker - self.defect if self.upper else None
 
     def to_json(self) -> dict:
         return {"lo": self.lo.to_json(),
                 "hi": None if self.hi is None else self.hi.to_json(),
                 "sample": [self.sample.numerator, self.sample.denominator],
-                **self.data.to_json()}
+                "lambda": str(QPoint.of(self.sample)), "upper": self.upper,
+                "lower": True, "dim_ker": fmt_dim(self.dim_ker),
+                "defect": fmt_dim(self.defect), "index": self.index}
 
 
 @dataclass
@@ -147,7 +160,7 @@ class SpectralReport:
     sigma3_equals_sigma: bool
     zero: ZeroReport
     critical_radii: list[ExactRadius] = field(default_factory=list)
-    strata: list[StratumRow] = field(default_factory=list)
+    strata: list[Stratum] = field(default_factory=list)
 
     def named_sets(self) -> list[tuple[str, RadialSet]]:
         return [("sigma", self.sigma), ("sigma_1", self.sigma_1),
@@ -200,13 +213,12 @@ class SpectralReport:
         lines.append(f"all cycles ray-incident: {self.all_cycles_ray_incident} "
                      f"-> sigma_5 == sigma: {self.sigma5_equals_sigma}")
         lines.append("index by radial stratum:")
-        for row in self.strata:
-            hi = "inf" if row.hi is None else str(row.hi)
-            d = row.data
-            lines.append(f"  ({row.lo}, {hi}): sample {row.sample}: "
-                         f"upper={d.upper} lower={d.lower} "
-                         f"dim_ker={fmt_dim(d.dim_ker)} defect={fmt_dim(d.defect)} "
-                         f"index={d.index}")
+        for st in self.strata:
+            hi = "inf" if st.hi is None else str(st.hi)
+            lines.append(f"  ({st.lo}, {hi}): sample {st.sample}: "
+                         f"upper={st.upper} lower=True "
+                         f"dim_ker={fmt_dim(st.dim_ker)} defect={fmt_dim(st.defect)} "
+                         f"index={st.index}")
         return "\n".join(lines)
 
     def to_svg(self) -> str:
@@ -314,29 +326,15 @@ def fredholm_data(m: ValidatedModel, lam: SpectralPoint) -> FredholmData:
         resonant = sum(1 for cyc in m.derived(_cycles_by_radius)[mod]
                        if lam.pow_equals(cyc.period, cyc.weight_product()))
         dim_ker, defect = _dim_add(dim_ker, resonant), defect + resonant
-    return FredholmData(str(lam), st.upper, True, dim_ker, defect,
-                        dim_ker - defect if st.upper else None)
+    # a resonant cycle adds as much to the defect as to the kernel
+    return FredholmData(str(lam), st.upper, True, dim_ker, defect, st.index)
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
 
-@dataclass(frozen=True)
-class _Stratum:
-    """An open radial stratum (lo, hi) between consecutive critical radii
-    (hi is None above the largest), its exact rational sample, and the
-    dimensions and upper flag that hold on all of it."""
-
-    lo: ExactRadius
-    hi: ExactRadius | None
-    sample: Fraction
-    dim_ker: object  # int or INF
-    defect: int
-    upper: bool
-
-
-def _strata(m: ValidatedModel) -> list[_Stratum]:
+def _strata(m: ValidatedModel) -> list[Stratum]:
     """Every open stratum of the model: the per-ray runs of the module
     docstring, summed in one difference sweep over the ranks of the critical
     radii.  Read it through ``m.derived(_strata)``, which computes it once
@@ -375,8 +373,8 @@ def _strata(m: ValidatedModel) -> list[_Stratum]:
         # below a bundle cluster infinitely many sources break upper
         # semi-Fredholmness; lower semi-Fredholmness fails only on circles
         inside = i < below_bundle
-        out.append(_Stratum(lo, hi, rational_between(lo, hi),
-                            INF if inside else k, d, not inside))
+        out.append(Stratum(lo, hi, rational_between(lo, hi),
+                           INF if inside else k, d, not inside))
     return out
 
 
@@ -395,27 +393,22 @@ def essential_spectra(m: ValidatedModel) -> SpectralReport:
     s2 = canonicalize(annuli=circles + disk,
                       root_sets=[] if z.upper else [ORIGIN])
     s2p = canonicalize(annuli=circles, root_sets=[] if z.lower else [ORIGIN])
-    s1 = intersect(s2, s2p)
-    s3 = union(s2, s2p)
+    # hence sigma_1 = sigma_2 ^ sigma_2' is sigma_2' and sigma_3 =
+    # sigma_2 u sigma_2' is sigma_2; self_check recomputes both
+    s1, s3 = s2p, s2
 
-    strata: list[StratumRow] = []
-    s4_extra: list[tuple[ExactRadius, ExactRadius]] = []
-    for st in m.derived(_strata):
-        fd = fredholm_data(m, QPoint.of(st.sample))
-        strata.append(StratumRow(st.lo, st.hi, st.sample, fd))
-        if fd.index not in (None, 0) and st.hi is not None:
-            s4_extra.append((st.lo, st.hi))
-    s4 = union(s3, canonicalize(annuli=s4_extra, root_sets=[ORIGIN]))
+    # sigma_4 adds to sigma_3 the bounded strata of nonzero index and the
+    # origin; the point part of sigma_3 is at most the origin
+    strata = m.derived(_strata)
+    s4 = canonicalize(annuli=list(s3.annuli)
+                      + [(st.lo, st.hi) for st in strata
+                         if st.hi is not None and st.index not in (None, 0)],
+                      root_sets=[ORIGIN])
 
-    gaps = complement_components(s1)
     removed = []
-    for gap in gaps:
-        if gap.hi is None:
-            removed.append(gap)
-            continue
+    for gap in complement_components(s1):
         lo = gap.lo if gap.lo is not None else ExactRadius.zero()
-        covered = any(alo <= lo and gap.hi <= ahi for alo, ahi in sigma.annuli)
-        if not covered:
+        if gap.hi is None or not sigma.radial_contains(lo, gap.hi):
             removed.append(gap)
     # points of sigma_1 puncture the complement components rather than
     # belonging to them, so Browder removal can never strip them

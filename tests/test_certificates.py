@@ -45,6 +45,18 @@ def test_ray1_circle_certificate():
     assert res[0] > res[1] > res[2]
 
 
+@pytest.mark.parametrize("c", [Fraction(1, 10), Fraction(6), Fraction(100)],
+                         ids=str)
+def test_in_certificates_pass_at_every_scale_of_lambda(c):
+    # one cycle of weight c under a forward ray: lam = c lies on its circle,
+    # and the bump's residual ratio grows like |lam|/sqrt(n)
+    m = validate(OrbitModel("c", (Cycle("C", (RC(c),)),),
+                            (Ray("R", "forward", 1, Anchor("C", 0)),)))
+    for side in ("upper", "lower"):
+        cert = in_certificate(m, Q(c), side, horizon=400)
+        assert cert.passed, (side, cert.residual_ratio)
+
+
 def test_two_sided_alpha_end_certificate():
     m = load_fixture("twocyc")
     lam = Q(0, Fraction(1, 2))  # on the inner critical circle, angle pi/2
@@ -279,7 +291,8 @@ def _assert_in_certificates_match_the_loops(m):
                 got = in_certificate(m, lam, side, horizon=n)
                 assert got.residual_ratio == ratio, where
                 assert got.kind == kind, where
-                assert got.passed == (ratio <= max(5.0 / math.sqrt(n), 1e-6)), where
+                bound = 5.0 * max(1.0, abs(lam.to_complex())) / math.sqrt(n)
+                assert got.passed == (ratio <= bound), where
                 assert got.details == details, where
                 compared += 1
     return compared

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -136,6 +138,14 @@ def test_root_point_complex_argument():
     # arg(-4) == pi, so branch 0 is 2**(1/2) * exp(i*pi/4) == 1 + i
     assert [j for j in range(4)
             if RootPoint(RC(-4), 4, j).pow_equals(1, RC(1, 1))] == [0]
+
+
+def test_root_point_complex_of_a_weight_beyond_the_float_range():
+    # |w| is about 3**700, beyond the float range, but |w|**(1/400) is
+    # 3**(7/4) and arg w is about 2**600 / 3**700
+    z = RootPoint(RationalComplex(3**700, 2**600), 400, 1).to_complex()
+    assert abs(abs(z) - 3**1.75) < 1e-12
+    assert abs(cmath.phase(z) - 2 * math.pi / 400) < 1e-12
 
 
 def test_rational_between():

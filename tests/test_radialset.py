@@ -255,3 +255,10 @@ def test_radial_contains_matches_a_scan_of_every_annulus(s, extra):
         probes.append(top)
     for r in probes:
         assert s.radial_contains(r) == any(lo <= r <= hi for lo, hi in s.annuli)
+    # and every interval between two probes, as issubset and Browder removal
+    # ask it
+    for a in probes:
+        for b in probes:
+            if a <= b:
+                assert s.radial_contains(a, b) == any(
+                    lo <= a and b <= hi for lo, hi in s.annuli), (a, b)

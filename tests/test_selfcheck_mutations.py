@@ -1,14 +1,16 @@
-"""Faults planted in the chain oracle must draw self-check reports.
+"""Faults planted in the chain oracle and the set algebra must draw
+self-check reports.
 
-Each case replaces one oracle function with a faulty variant through
-monkeypatch and runs ``self_check`` on the fixtures and the shared corpus.
-The engine counts its dimensions without the oracle on every circle without
-a cluster or image role, so a wrong oracle count at such a grid point shows
-as a disagreement there.
+Each case replaces one function with a faulty variant through monkeypatch
+and runs ``self_check`` on the fixtures and the shared corpus.  The engine
+counts its dimensions without the oracle on every circle without a cluster
+or image role, so a wrong oracle count at such a grid point shows as a
+disagreement there.
 """
 
 from ckspec import oracle, spectra
 from ckspec.fixtures import NAMES, load_fixture
+from ckspec.radialset import RadialSet, intersect, union
 from ckspec.spectra import self_check
 
 from _corpus import corpus
@@ -40,6 +42,12 @@ def graph_skips_edgeless_cycles(lam, actives, killed, edges):
     return _solve(lam, [c for c in actives if c in linked], killed, edges)
 
 
+def intersect_drops_common_roots(a, b):
+    # only the roots of each side that lie on the other side's annuli survive
+    return union(intersect(RadialSet(a.annuli), b),
+                 intersect(a, RadialSet(b.annuli)))
+
+
 def _reported(monkeypatch, module, name, fault) -> set[str]:
     monkeypatch.setattr(module, name, fault)
     return {m.name for m in MODELS if self_check(m)}
@@ -64,3 +72,17 @@ def test_kernel_without_edgeless_resonant_cycles_is_reported(monkeypatch):
                     graph_skips_edgeless_cycles)
     assert "per3_isolated" in hit
 
+
+def test_intersect_without_common_roots_is_reported(monkeypatch):
+    # the engine reads sigma_1 off sigma_2', so the identity
+    # sigma_1 == sigma_2 ^ sigma_2' sees a fault in the intersection
+    changed = set()
+    for m in MODELS:
+        rep = spectra.essential_spectra(m)
+        s2, s2p = rep.sigma_2, rep.sigma_2_prime
+        if intersect_drops_common_roots(s2, s2p) != intersect(s2, s2p):
+            changed.add(m.name)
+    assert len(changed) == 18
+    hit = _reported(monkeypatch, spectra, "intersect",
+                    intersect_drops_common_roots)
+    assert changed <= hit, sorted(changed - hit)

@@ -218,12 +218,10 @@ def test_critical_table_roles():
 
 
 def _assert_strata_match_chains(m):
-    for row in essential_spectra(m).strata:
-        lam = Q(row.sample)
-        assert row.data.dim_ker == chain_kernel_dim(m, lam), \
-            (m.name, str(row.sample))
-        assert row.data.defect == chain_defect_dim(m, lam), \
-            (m.name, str(row.sample))
+    for st in essential_spectra(m).strata:
+        lam = Q(st.sample)
+        assert st.dim_ker == chain_kernel_dim(m, lam), (m.name, str(st.sample))
+        assert st.defect == chain_defect_dim(m, lam), (m.name, str(st.sample))
 
 
 def test_strata_sweep_matches_chain_solvers_on_fixtures_and_corpus():
