@@ -66,7 +66,12 @@ def cmd_certify(args) -> int:
     # sigma_2' lies within sigma_2, so every point of the semi-Fredholm
     # spectrum gets an upper certificate
     if report.sigma_2.member(lam):
-        cert = in_certificate(model, lam, "upper", horizon=args.horizon)
+        try:
+            cert = in_certificate(model, lam, "upper", horizon=args.horizon)
+        except OverflowError as e:
+            # the bump is evaluated in floating point
+            raise NoEligibleOrbit(f"lambda or a weight of the witness lies "
+                                  f"beyond the float range ({e})") from e
     elif not report.sigma.member(lam):
         cert = out_certificate(model, lam, horizon=args.horizon)
     else:

@@ -132,15 +132,6 @@ class RationalComplex:
     def conj(self) -> "RationalComplex":
         return RationalComplex(self.re, -self.im)
 
-    def __add__(self, o: "RationalComplex") -> "RationalComplex":
-        return RationalComplex(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o: "RationalComplex") -> "RationalComplex":
-        return RationalComplex(self.re - o.re, self.im - o.im)
-
-    def __neg__(self) -> "RationalComplex":
-        return RationalComplex(-self.re, -self.im)
-
     def __mul__(self, o: "RationalComplex") -> "RationalComplex":
         return RationalComplex.product((self, o))
 
@@ -328,6 +319,10 @@ class SpectralPoint:
     def to_complex(self) -> complex:
         raise NotImplementedError
 
+    def arg(self) -> float:
+        """An argument of self in radians, overflow-safe."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class QPoint(SpectralPoint):
@@ -360,6 +355,9 @@ class QPoint(SpectralPoint):
 
     def to_complex(self) -> complex:
         return self.z.to_complex()
+
+    def arg(self) -> float:
+        return self.z.arg()
 
     def __str__(self):
         return str(self.z)
@@ -396,6 +394,9 @@ class CirclePoint(SpectralPoint):
 
     def to_complex(self) -> complex:
         return float(self.r) * self.u.to_complex()
+
+    def arg(self) -> float:
+        return self.u.arg()
 
     def __str__(self):
         return f"{self.r}*({self.u})"
@@ -447,9 +448,11 @@ class RootPoint(SpectralPoint):
             return False
         return (k1 - k2 + e * self.branch) % self.p == 0
 
+    def arg(self) -> float:
+        return (self.w.arg() + 2 * math.pi * self.branch) / self.p
+
     def to_complex(self) -> complex:
-        rad = float(self.modulus())
-        theta = (self.w.arg() + 2 * math.pi * self.branch) / self.p
+        rad, theta = float(self.modulus()), self.arg()
         return rad * complex(math.cos(theta), math.sin(theta))
 
     def __str__(self):

@@ -239,12 +239,8 @@ class ValidatedModel:
         return {r: frozenset(roles[r]) for r in sorted(roles)}
 
     def heads_count(self):
-        total = 0
-        for r in self.forward_rays():
-            if r.multiplicity == OMEGA:
-                return INF
-            total += r.multiplicity
-        return total
+        """The number of ray heads: INF under a bundle (OMEGA is INF)."""
+        return sum(r.multiplicity for r in self.forward_rays())
 
     # --- weights along orbits ----------------------------------------------
 

@@ -40,8 +40,7 @@ from functools import reduce
 from itertools import chain, islice
 from operator import add
 
-from .exact import (INF, QPoint, RationalComplex, SpectralPoint,
-                    is_infinite)
+from .exact import INF, RationalComplex, SpectralPoint
 from .model import OMEGA, Ray, ValidatedModel
 
 RC1 = RationalComplex.of(1)
@@ -233,14 +232,9 @@ def chain_kernel_dim(m: ValidatedModel, lam: SpectralPoint):
     if lam.is_zero:
         return _kernel_dim_at_zero(m)
     side, actives = _placement(m, lam)
-    total = 0
-    infinite = False
-    for ray in m.forward_rays():
-        if side(ray.omega.cycle) > 0:  # |lam| < g_omega
-            if ray.multiplicity == OMEGA:
-                infinite = True
-            else:
-                total += ray.multiplicity
+    # a bundle's multiplicity OMEGA is INF, and INF + n == INF
+    total = sum(ray.multiplicity for ray in m.forward_rays()
+                if side(ray.omega.cycle) > 0)  # |lam| < g_omega
     killed: set = set()
     edges = []
     for ray in m.two_sided_rays():
@@ -266,15 +260,13 @@ def chain_kernel_dim(m: ValidatedModel, lam: SpectralPoint):
         else:
             edges.append((ray.omega.cycle, ray.alpha.cycle,
                           _transport_ratio(m, ray)))
-    total += _solve_resonant_graph(lam, actives, killed, edges)
-    return INF if infinite else total
+    return total + _solve_resonant_graph(lam, actives, killed, edges)
 
 
 def _kernel_dim_at_zero(m: ValidatedModel):
     # ker T = continuous functions vanishing on phi({w != 0}); phi is
     # injective, so the free spots are the heads plus one image per zero of w
-    h, zeros = m.heads_count(), _defect_dim_at_zero(m)
-    return INF if is_infinite(h) or is_infinite(zeros) else h + zeros
+    return m.heads_count() + _defect_dim_at_zero(m)
 
 
 def chain_defect_dim(m: ValidatedModel, lam: SpectralPoint):
@@ -296,17 +288,15 @@ def chain_defect_dim(m: ValidatedModel, lam: SpectralPoint):
 
 
 def _defect_dim_at_zero(m: ValidatedModel):
-    # ker T' = atoms supported on the zero set of w
+    # ker T' = atoms supported on the zero set of w; the locked weights of
+    # an incident ray repeat a cycle's zeros infinitely often
     total = 0
-    infinite = False
     for cid, cyc in m.cycles.items():
         zeros = sum(1 for w in cyc.weights if w.is_zero)
-        if zeros and m.incident_rays(cid):
-            infinite = True
-        total += zeros
+        total += INF if zeros and m.incident_rays(cid) else zeros
     for ray in m.raw.rays:
         total += sum(1 for _, v in ray.exceptional if v.is_zero)
-    return INF if infinite else total
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +541,23 @@ def _extreme_abs2_wn(streams, nn: int, want_max: bool):
                 for v in _window_products(run, nn))
 
 
+def _first_margin(streams, mod, horizon: int, above: bool):
+    """(nn, margin) at the first doubling nn <= horizon where the component
+    clears |lam|: sup |w_nn|**2 < |lam|**(2 nn) above it, |lam|**(2 nn) <
+    inf |w_nn|**2 below it; None where no nn does.  With |lam|**2 ==
+    sq**(1/p), both sides are raised to the p-th power and compared over the
+    integers, and the margin is the nn-th root of their ratio."""
+    sq, p = mod.sq, mod.p
+    nn = 1
+    while nn <= horizon:
+        ext = _extreme_abs2_wn(streams, nn, want_max=above) ** p
+        small, big = (ext, sq**nn) if above else (sq**nn, ext)
+        if small < big:
+            return nn, float(small / big) ** (0.5 / (nn * p))
+        nn *= 2
+    return None
+
+
 def out_certificate(m: ValidatedModel, lam: SpectralPoint,
                     horizon: int = DEFAULT_HORIZON) -> Certificate:
     """Certify lam outside the spectrum, component by component.
@@ -563,54 +570,40 @@ def out_certificate(m: ValidatedModel, lam: SpectralPoint,
     if lam.is_zero:
         raise MarginNotReached("0 always belongs to the spectrum")
     mod = lam.modulus()
-    lam_abs2 = mod.sq if mod.p == 1 else None
-    if lam_abs2 is None:
-        raise MarginNotReached("resolvent certificates need |lam|^2 rational")
     details = {}
     worst = 0.0
-    for ci, comp in enumerate(_components(m)):
+    for comp in _components(m):
         gms = [m.cycle(cid).gm() for cid in comp["cycles"]]
-        gmax = max(gms)
-        gmin = min(gms)
         label = "+".join(sorted(comp["cycles"]))
         entry = None
-        if mod > gmax:
-            streams = _abs2_streams(m, comp, l_only=False)
-            nn = 1
-            while nn <= horizon:
-                sup = _extreme_abs2_wn(streams, nn, want_max=True)
-                if sup < lam_abs2**nn:
-                    margin = float(sup / lam_abs2**nn) ** (0.5 / nn)
-                    entry = {"route": "neumann", "n": nn, "margin": margin}
-                    break
-                nn *= 2
-        elif mod < gmin:
+        if mod > max(gms):
+            hit = _first_margin(_abs2_streams(m, comp, l_only=False), mod,
+                                horizon, above=True)
+            if hit:
+                entry = {"route": "neumann", "n": hit[0], "margin": hit[1]}
+        elif mod < min(gms):
             invertible = (not any(m.cycle(cid).has_zero_weight
                                   for cid in comp["cycles"])
                           and not any(m.ray_has_zero(r) for r in comp["rays"]
                                       if r.is_two_sided))
-            sub = _submodel(m, comp)
-            if invertible and chain_kernel_dim(sub, lam) == 0:
-                streams = _abs2_streams(m, comp, l_only=True)
-                nn = 1
-                while nn <= horizon:
-                    inf_l = _extreme_abs2_wn(streams, nn, want_max=False)
-                    if lam_abs2**nn < inf_l:
-                        margin = float(lam_abs2**nn / inf_l) ** (0.5 / nn)
-                        entry = {"route": "inverse", "n": nn, "margin": margin,
-                                 "kernel_checked": True}
-                        break
-                    nn *= 2
+            if invertible and chain_kernel_dim(_submodel(m, comp), lam) == 0:
+                hit = _first_margin(_abs2_streams(m, comp, l_only=True), mod,
+                                    horizon, above=False)
+                if hit:
+                    entry = {"route": "inverse", "n": hit[0], "margin": hit[1],
+                             "kernel_checked": True}
         elif not comp["rays"] and len(comp["cycles"]) == 1:
-            cid = comp["cycles"][0]
-            cyc = m.cycle(cid)
+            cyc = m.cycle(comp["cycles"][0])
             w = cyc.weight_product()
-            if isinstance(lam, QPoint) and not lam.pow_equals(cyc.period, w):
+            if not lam.pow_equals(cyc.period, w):
                 # exact separation from the finite root set; the margin is
-                # informational (pass is decided by the exact test above)
-                lp = lam.z**cyc.period
-                sep2 = (lp - w).abs2()
-                rel = float(sep2 / (lp.abs2() + w.abs2() + sep2)) ** 0.5
+                # informational (pass is decided by the exact test above).
+                # |lam**p| == |W| here, so the relative separation
+                # |lam**p - W| / sqrt(|lam**p|**2 + |W|**2 + |lam**p - W|**2)
+                # depends only on the angle t between them: with s =
+                # sin(t/2) it is |s| * sqrt(2 / (1 + 2 s**2))
+                s = math.sin((cyc.period * lam.arg() - w.arg()) / 2)
+                rel = abs(s) * math.sqrt(2 / (1 + 2 * s * s))
                 entry = {"route": "root_separation", "n": cyc.period,
                          "margin": 1.0 - max(rel, 1e-12)}
         if entry is None:

@@ -65,12 +65,6 @@ class InternalInconsistency(Exception):
     """Engine and pointwise oracle recheck disagree; must never fire."""
 
 
-def _dim_add(a, b):
-    if is_infinite(a) or is_infinite(b):
-        return INF
-    return a + b
-
-
 def fmt_dim(d) -> str | None:
     if d is None:  # no dimension claimed: a cluster or image circle
         return None
@@ -277,7 +271,7 @@ def zero_analysis(m: ValidatedModel) -> ZeroReport:
     sources_finite = not is_infinite(cs.sources_count)
     upper = z_isolated and sources_finite
     lower = z_isolated
-    dim_ker = _dim_add(cs.sources_count, cs.z_w_count)
+    dim_ker = cs.sources_count + cs.z_w_count  # INF + n == INF
     defect = cs.z_w_count
     fred = upper and lower
     index = dim_ker - defect if fred else None
@@ -285,8 +279,7 @@ def zero_analysis(m: ValidatedModel) -> ZeroReport:
     for ray in m.forward_rays():
         if not m.ray_weight(ray, 0, 0).is_zero:
             vanish = False
-        if (ray.multiplicity == OMEGA or ray.multiplicity > 1) \
-                and not m.ray_weight(ray, 0, 1).is_zero:
+        if ray.multiplicity > 1 and not m.ray_weight(ray, 0, 1).is_zero:
             vanish = False
     return ZeroReport(upper=upper, lower=lower, dim_ker=dim_ker, defect=defect,
                       index=index, weight_vanishes_on_sources=vanish,
@@ -325,7 +318,7 @@ def fredholm_data(m: ValidatedModel, lam: SpectralPoint) -> FredholmData:
     if roles is not None:
         resonant = sum(1 for cyc in m.derived(_cycles_by_radius)[mod]
                        if lam.pow_equals(cyc.period, cyc.weight_product()))
-        dim_ker, defect = _dim_add(dim_ker, resonant), defect + resonant
+        dim_ker, defect = dim_ker + resonant, defect + resonant
     # a resonant cycle adds as much to the defect as to the kernel
     return FredholmData(str(lam), st.upper, True, dim_ker, defect, st.index)
 
@@ -497,7 +490,6 @@ def self_check(m: ValidatedModel, report: SpectralReport | None = None) -> list[
         expect(report.sigma5_equals_sigma,
                "no isolated cycles but sigma_5 != sigma")
 
-    l_annuli = report.sigma_l.annuli
     # the eventual image as a model of its own: its kernel and defect at
     # lam != 0 are those of the chains in L alone
     image = ValidatedModel(OrbitModel(m.name, m.raw.cycles, m.two_sided_rays()))
@@ -524,10 +516,10 @@ def self_check(m: ValidatedModel, report: SpectralReport | None = None) -> list[
         if fd.upper and fd.lower:
             expect(s4.member(lam) == (s3.member(lam) or fd.index != 0),
                    f"{tag}: sigma_4 membership vs index")
+        # every end of a sigma_L annulus, and 0, is a critical radius, so
+        # off them the closed containment holds only in the interior
         mod = lam.modulus()
-        interior = any(lo < mod < hi for lo, hi in l_annuli)
-        if interior and mod not in m.critical and not lam.is_zero:
-            expect(_dim_add(chain_kernel_dim(image, lam),
-                            chain_defect_dim(image, lam)) != 0,
-                   f"{tag}: interior of sigma_L annulus without eigen-chain")
+        if mod not in m.critical and report.sigma_l.radial_contains(mod):
+            expect(chain_kernel_dim(image, lam) + chain_defect_dim(image, lam)
+                   != 0, f"{tag}: interior of sigma_L annulus without eigen-chain")
     return msgs

@@ -4,6 +4,7 @@ Models stay small (<= 6 cycles, <= 10 rays, weight numerators/denominators
 bounded by 16) but are built to hit every engine branch: zero weights on and
 off cycles, countable bundles, exceptional overrides including zeros,
 two-sided rays between cycles of equal and distinct radii, bare cycles.
+``ladder`` gives one large ladder-shaped model of a chosen size.
 ``malformed_weights`` gives model files whose one bad weight must be rejected.
 """
 
@@ -76,6 +77,36 @@ def random_model(seed: int):
 
 def corpus(n: int = 100, base_seed: int = 20_240_901):
     return [random_model(base_seed + k) for k in range(n)]
+
+
+def ladder(n_cycles: int, seed: str):
+    """A ladder-shaped model: periods 1..24, weights a/b with a, b <= 16
+    (imaginary part 30% of the time), one forward ray per cycle (a fifth
+    of them bundles) and one two-sided ray per cycle."""
+    rng = random.Random(seed)
+
+    def weight():
+        re = Fraction(rng.choice((-1, 1)) * rng.randint(1, 16), rng.randint(1, 16))
+        im = Fraction(0)
+        if rng.random() < 0.3:
+            im = Fraction(rng.randint(-16, 16), rng.randint(1, 16))
+        return RationalComplex(re, im)
+
+    periods = [1 + k % 24 for k in range(n_cycles)]
+    rng.shuffle(periods)
+    cycles = tuple(Cycle(f"c{k}", tuple(weight() for _ in range(p)))
+                   for k, p in enumerate(periods))
+
+    def anchor():
+        k = rng.randrange(n_cycles)
+        return Anchor(f"c{k}", rng.randrange(periods[k]))
+
+    rays = [Ray(f"f{j}", "forward",
+                OMEGA if j < n_cycles // 5 else rng.choice((1, 1, 2, 3)),
+                anchor()) for j in range(n_cycles)]
+    rays += [Ray(f"t{j}", "two_sided", 1, anchor(), anchor())
+             for j in range(n_cycles)]
+    return validate(OrbitModel(f"ladder-{n_cycles}", cycles, tuple(rays)))
 
 
 # a weight is [reNum, reDen, imNum, imDen] of JSON integers, never booleans

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ckspec.cli import main
-from ckspec.exact import CirclePoint, QPoint, RationalComplex
+from ckspec.exact import CirclePoint, QPoint, RationalComplex, RootPoint
 from ckspec.fixtures import NAMES, load_fixture
 from ckspec.model import (OMEGA, Anchor, Cycle, OrbitModel, Ray,
                           model_to_json, validate)
-from ckspec.oracle import (MarginNotReached, NoEligibleOrbit, in_certificate,
+from ckspec.oracle import (DEFAULT_HORIZON, MarginNotReached, NoEligibleOrbit,
+                           _abs2_streams, _components, _extreme_abs2_wn,
+                           _submodel, chain_kernel_dim, in_certificate,
                            out_certificate)
-from ckspec.spectra import sample_grid
+from ckspec.spectra import essential_spectra, sample_grid
 
-from _corpus import corpus
+from _corpus import corpus, ladder
 
 RC = RationalComplex.of
 Q = QPoint.of
@@ -335,3 +337,147 @@ def _two_sided_windows(draw):
 @given(_two_sided_windows())
 def test_in_certificates_match_the_loops_on_drawn_two_sided_rays(m):
     assert _assert_in_certificates_match_the_loops(m) > 0
+
+
+# ---------------------------------------------------------------------------
+# OUT certificates: one route per component, whatever the point type
+
+
+def test_every_point_outside_sigma_gets_an_out_certificate():
+    models = ([load_fixture(name) for name in NAMES] + corpus()
+              + [ladder(64, "ladder/64")])
+    points = 0
+    for m in models:
+        sigma = essential_spectra(m).sigma
+        for lam in sample_grid(m):
+            if lam.is_zero or sigma.member(lam):
+                continue
+            cert = out_certificate(m, lam)
+            assert cert.passed and cert.horizon == DEFAULT_HORIZON
+            assert len(cert.details) == len(m.l_components()), (m.name, str(lam))
+            points += 1
+    assert points == 149
+
+
+def test_out_root_separation_at_circle_and_root_points():
+    # B: period 2 and W == 2, so lam**2 == -2 lies at angle pi from W and
+    # the relative separation is sqrt(2/3)
+    m = validate(OrbitModel("t", (Cycle("B", (RC(1), RC(2))),
+                                  Cycle("F", (RC(Fraction(1, 2)),))),
+                            (Ray("r", "forward", 1, Anchor("F", 0)),)))
+    r = m.cycle("B").gm()
+    want = 1.0 - math.sqrt(2 / 3)
+    for lam in (CirclePoint(r, RC(0, 1)), RootPoint(RC(-2), 2, 1)):
+        entry = out_certificate(m, lam).details["B"]
+        assert entry["route"] == "root_separation" and entry["n"] == 2
+        assert abs(entry["margin"] - want) < 1e-15
+    # the roots of W themselves lie in sigma
+    for lam in (CirclePoint(r, RC(-1)), RootPoint(RC(2), 2, 0)):
+        with pytest.raises(MarginNotReached):
+            out_certificate(m, lam)
+
+
+def _ref_out_details(m, lam, horizon):
+    """The details of the OUT certificate as the loops before the one
+    margin loop built them, for a QPoint: one doubling loop per route over
+    |lam|**2, and the root-separation margin from the exact lam**p - W.
+    None where they reached no margin."""
+    lam_abs2 = lam.z.abs2()
+    details = {}
+    for comp in _components(m):
+        gms = [m.cycle(cid).gm() for cid in comp["cycles"]]
+        mod = lam.modulus()
+        entry = None
+        if mod > max(gms):
+            streams = _abs2_streams(m, comp, l_only=False)
+            nn = 1
+            while nn <= horizon:
+                sup = _extreme_abs2_wn(streams, nn, want_max=True)
+                if sup < lam_abs2**nn:
+                    margin = float(sup / lam_abs2**nn) ** (0.5 / nn)
+                    entry = {"route": "neumann", "n": nn, "margin": margin}
+                    break
+                nn *= 2
+        elif mod < min(gms):
+            invertible = (not any(m.cycle(cid).has_zero_weight
+                                  for cid in comp["cycles"])
+                          and not any(m.ray_has_zero(r) for r in comp["rays"]
+                                      if r.is_two_sided))
+            if invertible and chain_kernel_dim(_submodel(m, comp), lam) == 0:
+                streams = _abs2_streams(m, comp, l_only=True)
+                nn = 1
+                while nn <= horizon:
+                    inf_l = _extreme_abs2_wn(streams, nn, want_max=False)
+                    if lam_abs2**nn < inf_l:
+                        margin = float(lam_abs2**nn / inf_l) ** (0.5 / nn)
+                        entry = {"route": "inverse", "n": nn, "margin": margin,
+                                 "kernel_checked": True}
+                        break
+                    nn *= 2
+        elif not comp["rays"] and len(comp["cycles"]) == 1:
+            cyc = m.cycle(comp["cycles"][0])
+            w = cyc.weight_product()
+            lp = lam.z**cyc.period
+            if lp != w:
+                diff = RationalComplex(lp.re - w.re, lp.im - w.im)
+                sep2 = diff.abs2()
+                rel = float(sep2 / (lp.abs2() + w.abs2() + sep2)) ** 0.5
+                entry = {"route": "root_separation", "n": cyc.period,
+                         "margin": 1.0 - max(rel, 1e-12)}
+        if entry is None:
+            return None
+        details["+".join(sorted(comp["cycles"]))] = entry
+    return details
+
+
+def _assert_out_matches_the_loops(m, lam):
+    """Neumann and inverse entries agree bit for bit, root-separation
+    margins to 1e-12 relative.  Returns the number of root separations."""
+    want = _ref_out_details(m, lam, DEFAULT_HORIZON)
+    if want is None:
+        with pytest.raises(MarginNotReached):
+            out_certificate(m, lam)
+        return 0
+    got = out_certificate(m, lam).details
+    assert got.keys() == want.keys()
+    separations = 0
+    for label, entry in want.items():
+        if entry["route"] == "root_separation":
+            margin = got[label].pop("margin")
+            assert abs(margin - entry.pop("margin")) <= 1e-12 * margin
+            separations += 1
+        assert got[label] == entry, (m.name, str(lam), label)
+    return separations
+
+
+def test_out_certificates_match_the_loops_on_fixtures_and_corpus():
+    extra = [Q(3), Q(Fraction(1, 2)), Q(1), Q(0, 1), Q(-2), Q(Fraction(9, 8)),
+             Q(Fraction(3, 5), Fraction(4, 5)), Q(0, -3), Q(4, 3)]
+    separations = 0
+    for m in [load_fixture(name) for name in NAMES] + corpus():
+        sigma = essential_spectra(m).sigma
+        for lam in [p for p in sample_grid(m) if isinstance(p, QPoint)] + extra:
+            if not lam.is_zero and not sigma.member(lam):
+                separations += _assert_out_matches_the_loops(m, lam)
+    assert separations > 10
+
+
+# rational directions of modulus one, down to an angle of about 2e-6
+_directions = st.sampled_from(
+    [RC(Fraction(k * k - 1, k * k + 1), Fraction(2 * k, k * k + 1))
+     for k in (2, 3, 7, 100, 10**4, 10**6)]
+    + [RC(-1), RC(0, 1), RC(Fraction(-3, 5), Fraction(-4, 5))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(RationalComplex, st.fractions(-9, 9, max_denominator=9),
+                 st.fractions(-9, 9, max_denominator=9)).filter(
+                     lambda z: not z.is_zero),
+       st.sampled_from([1, 2, 3, 5, 7, 12]), _directions)
+def test_out_root_separation_matches_the_exact_margin_on_drawn_cycles(z, p, v):
+    # a bare cycle B with W == z**p * v: lam = z lies on B's circle, off
+    # its roots, at angle arg v from them; F carries the forward ray
+    b = Cycle("B", (z,) * (p - 1) + (z * v,))
+    m = validate(OrbitModel("drawn", (b, Cycle("F", (RC(Fraction(1, 100)),))),
+                            (Ray("r", "forward", 1, Anchor("F", 0)),)))
+    assert _assert_out_matches_the_loops(m, QPoint(z)) == 1

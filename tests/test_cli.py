@@ -147,6 +147,70 @@ def test_malformed_weights_exit_1_with_a_located_message(tmp_path, capsys):
         assert "Traceback" not in err, case
 
 
+
+def _twocyc_with(edit):
+    doc = json.loads(fixture_text("twocyc"))  # rays[0] two-sided S, rays[1] forward R
+    edit(doc)
+    return json.dumps(doc)
+
+
+_INPUT_ERRORS = {
+    "unknown-kind": (lambda d: d["rays"][1].update(kind="sideways"),
+                     "ray 'R': unknown kind 'sideways'"),
+    "two-sided-multiplicity": (lambda d: d["rays"][0].update(multiplicity=2),
+                               "two-sided ray 'S' must have multiplicity 1"),
+    "forward-alpha": (lambda d: d["rays"][1].update(alpha={"cycle": "B",
+                                                           "phase": 0}),
+                      "forward ray 'R' cannot carry an alpha anchor"),
+    "multiplicity-0": (lambda d: d["rays"][1].update(multiplicity=0),
+                       "ray 'R': bad multiplicity"),
+    "multiplicity-minus-1": (lambda d: d["rays"][1].update(multiplicity=-1),
+                             "ray 'R': bad multiplicity"),
+    "negative-index": (lambda d: d["rays"][1].update(
+        exceptional=[[-1, 2, 1, 0, 1]]), "ray 'R': negative exceptional index"),
+    "missing-key": (lambda d: d["rays"][1].pop("kind"),
+                    "rays[1]: missing key 'kind'"),
+    "empty-weights": (lambda d: d["cycles"][0].update(weights=[]),
+                      "cycles[0]: weights must be a nonempty list"),
+    "multiplicity-1.5": (lambda d: d["rays"][1].update(multiplicity=1.5),
+                         'rays[1]: multiplicity must be an int or "omega"'),
+    "multiplicity-string": (lambda d: d["rays"][1].update(multiplicity="2"),
+                            'rays[1]: multiplicity must be an int or "omega"'),
+    "phase-string": (lambda d: d["rays"][1]["omega"].update(phase="0"),
+                     "rays[1].omega: phase must be an int"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_ERRORS))
+def test_invalid_models_exit_1_with_a_located_message(case, tmp_path, capsys):
+    edit, message = _INPUT_ERRORS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(_twocyc_with(edit), "utf-8")
+    assert main(["analyze", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("weights, lam", [
+    ([[10**400, 1, 0, 1]], f"{10**400},0"),
+    ([[10**400, 1, 0, 1], [1, 10**400, 0, 1]], "1,0"),
+], ids=["lambda", "weight"])
+def test_certify_beyond_the_float_range_is_a_certificate_failure(
+        weights, lam, tmp_path, capsys):
+    # one cycle under a forward ray, lambda on its circle: the IN bump is
+    # evaluated in floats, and lambda or a weight does not fit one
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "name": "big", "cycles": [{"id": "C", "weights": weights}],
+        "rays": [{"id": "R", "kind": "forward", "multiplicity": 1,
+                  "omega": {"cycle": "C", "phase": 0}}]}), "utf-8")
+    assert main(["analyze", str(path), "--self-check"]) == 0
+    capsys.readouterr()
+    assert main(["certify", str(path), f"--lambda={lam}"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("certificate failure: ")
+    assert "beyond the float range" in err and err.count("\n") == 1
+
 @pytest.fixture
 def digit_cap():
     """Python's default cap on int <-> str conversion, restored afterwards."""

@@ -148,6 +148,18 @@ def test_root_point_complex_of_a_weight_beyond_the_float_range():
     assert abs(cmath.phase(z) - 2 * math.pi / 400) < 1e-12
 
 
+def test_spectral_point_arguments():
+    assert QPoint.of(0, 1).arg() == math.pi / 2
+    assert CirclePoint(ExactRadius(Fraction(2), 2), RC(-1)).arg() == math.pi
+    # branch j of the p-th root of w has argument (arg w + 2*pi*j) / p
+    assert RootPoint(RC(-4), 4, 3).arg() == 7 * math.pi / 4
+    assert cmath.isclose(cmath.exp(1j * RootPoint(RC(-4), 4, 3).arg()),
+                         RootPoint(RC(-4), 4, 3).to_complex() / math.sqrt(2))
+    # parts beyond the float range
+    assert QPoint(RationalComplex(Fraction(-10**400), Fraction(10**400))).arg() \
+        == 3 * math.pi / 4
+
+
 def test_rational_between():
     lo = ExactRadius(Fraction(2), 1)   # sqrt(2)
     hi = ExactRadius(Fraction(3), 1)   # sqrt(3)

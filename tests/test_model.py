@@ -51,6 +51,14 @@ def test_two_sided_needs_alpha_and_multiplicity_one():
         validate(raw)
 
 
+def test_period_below_one_rejected():
+    # a model file cannot state it (weights must be a nonempty list)
+    raw = OrbitModel("m", (Cycle("a", ()), Cycle("b", (RC(1),))),
+                     (Ray("r", "forward", 1, Anchor("b", 0)),))
+    with pytest.raises(MalformedWeight, match="cycle 'a' must have period >= 1"):
+        validate(raw)
+
+
 def test_half_fixture_valid():
     m = load_fixture("half")
     assert m.heads_count() == INF

@@ -1,4 +1,3 @@
-import random
 import time
 from fractions import Fraction
 
@@ -13,6 +12,8 @@ from ckspec.radialset import RadialSet, canonicalize, intersect, union
 from ckspec.spectra import (_strata, essential_spectra, fredholm_data,
                             sample_grid, self_check, sigma_L, sigma_M,
                             zero_analysis)
+
+from _corpus import corpus, ladder
 
 RC = RationalComplex.of
 ER = ExactRadius.from_fraction
@@ -183,7 +184,6 @@ def test_report_json_shape():
 
 
 def test_corpus_identities_sample():
-    from _corpus import corpus
     for m in corpus(25):
         rep = essential_spectra(m)
         assert rep.sigma_1 == intersect(rep.sigma_2, rep.sigma_2_prime)
@@ -195,7 +195,6 @@ def test_corpus_identities_sample():
 def test_sigma_2_prime_within_sigma_2_on_corpus():
     # both take the same circles from the critical table, and 0 in sigma_2'
     # (T not lower semi-Fredholm) forces 0 in sigma_2
-    from _corpus import corpus
     for m in corpus():
         rep = essential_spectra(m)
         assert rep.sigma_2_prime.issubset(rep.sigma_2), m.name
@@ -225,7 +224,6 @@ def _assert_strata_match_chains(m):
 
 
 def test_strata_sweep_matches_chain_solvers_on_fixtures_and_corpus():
-    from _corpus import corpus
     for m in [load_fixture(name) for name in NAMES] + corpus():
         _assert_strata_match_chains(m)
 
@@ -273,8 +271,6 @@ def test_strata_sweep_matches_chain_solvers_on_drawn_models(m):
 
 
 def test_essential_spectra_runs_no_chain_solve(monkeypatch):
-    from _corpus import corpus
-
     def forbidden(*args, **kwargs):
         raise AssertionError("essential_spectra called the chain oracle")
 
@@ -289,38 +285,8 @@ def test_essential_spectra_runs_no_chain_solve(monkeypatch):
             fredholm_data(m, lam)
 
 
-def _ladder(n_cycles: int, seed: str):
-    """A ladder-shaped model: periods 1..24, weights a/b with a, b <= 16
-    (imaginary part 30% of the time), one forward ray per cycle (a fifth
-    of them bundles) and one two-sided ray per cycle."""
-    rng = random.Random(seed)
-
-    def weight():
-        re = Fraction(rng.choice((-1, 1)) * rng.randint(1, 16), rng.randint(1, 16))
-        im = Fraction(0)
-        if rng.random() < 0.3:
-            im = Fraction(rng.randint(-16, 16), rng.randint(1, 16))
-        return RationalComplex(re, im)
-
-    periods = [1 + k % 24 for k in range(n_cycles)]
-    rng.shuffle(periods)
-    cycles = tuple(Cycle(f"c{k}", tuple(weight() for _ in range(p)))
-                   for k, p in enumerate(periods))
-
-    def anchor():
-        k = rng.randrange(n_cycles)
-        return Anchor(f"c{k}", rng.randrange(periods[k]))
-
-    rays = [Ray(f"f{j}", "forward",
-                OMEGA if j < n_cycles // 5 else rng.choice((1, 1, 2, 3)),
-                anchor()) for j in range(n_cycles)]
-    rays += [Ray(f"t{j}", "two_sided", 1, anchor(), anchor())
-             for j in range(n_cycles)]
-    return validate(OrbitModel(f"ladder-{n_cycles}", cycles, tuple(rays)))
-
-
 def test_validate_is_linear_in_the_cycle_count():
-    raw = _ladder(4096, "ladder/4096").raw
+    raw = ladder(4096, "ladder/4096").raw
     start = time.process_time()
     validate(raw)
     elapsed = time.process_time() - start
@@ -328,7 +294,7 @@ def test_validate_is_linear_in_the_cycle_count():
 
 
 def test_essential_spectra_on_1024_cycles_is_fast():
-    m = _ladder(1024, "ladder/1024")
+    m = ladder(1024, "ladder/1024")
     start = time.process_time()
     rep = essential_spectra(m)
     elapsed = time.process_time() - start
@@ -337,9 +303,31 @@ def test_essential_spectra_on_1024_cycles_is_fast():
 
 
 def test_self_check_on_64_cycles_is_fast():
-    m = _ladder(64, "ladder/64")
+    m = ladder(64, "ladder/64")
     start = time.process_time()
     msgs = self_check(m)
     elapsed = time.process_time() - start
     assert msgs == []
     assert elapsed < 5.0, f"self_check took {elapsed:.1f} s"
+
+
+def test_sigma_l_interior_without_eigen_chain_is_reported(monkeypatch):
+    # plant an oracle that finds no chain on the eventual image, the model
+    # self_check builds without forward rays: every grid point strictly
+    # inside a sigma_L annulus must then draw the report
+    for name in ("chain_kernel_dim", "chain_defect_dim"):
+        real = getattr(spectra, name)
+        monkeypatch.setattr(spectra, name, lambda m, lam, real=real:
+                            real(m, lam) if m.forward_rays() else 0)
+    reported = 0
+    for m in [load_fixture(name) for name in NAMES] + corpus():
+        l_annuli = sigma_L(m).annuli
+        inside = any(any(lo < lam.modulus() < hi for lo, hi in l_annuli)
+                     for lam in sample_grid(m)
+                     if lam.modulus() not in m.critical)
+        msgs = self_check(m)
+        flagged = any("interior of sigma_L annulus without eigen-chain" in msg
+                      for msg in msgs)
+        assert flagged == inside, m.name
+        reported += flagged
+    assert reported > 10
