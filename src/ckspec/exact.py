@@ -4,19 +4,23 @@ Three kinds of numbers appear throughout:
 
 * ``RationalComplex`` -- Gaussian rationals, the field every weight lives in.
 * ``ExactRadius`` -- nonnegative reals of the form ``sq**(1/(2*p))`` with
-  ``sq`` rational.  All radius comparisons cross-multiply exponents, so
-  ordering and equality are decided over the integers.
-* spectral sample points (``QPoint``, ``CirclePoint``, ``RootPoint``) --
-  exact complex numbers at which the operator is probed.  ``CirclePoint``
-  is a point of modulus exactly ``r`` in a rational unit direction;
-  ``RootPoint`` is a chosen branch of a p-th root of a Gaussian rational.
+  ``sq`` rational.
+* spectral sample points (``SpectralPoint`` names ``RootPoint | CirclePoint``)
+  -- exact complex numbers at which the operator is probed.  ``RootPoint`` is
+  a chosen branch of a p-th root of a Gaussian rational; at p == 1 it is the
+  Gaussian rational itself (``QPoint`` builds it), and (0, 1) is the origin.
+  ``CirclePoint`` is a point of modulus exactly ``r`` in a rational unit
+  direction.
 
 Every predicate is decided exactly, with integer and rational arithmetic
-only.  Products of Gaussian rationals (``RationalComplex.product``, which
-``*`` and cycle products share) are formed over Z[i] with one common integer
-denominator and reduced once, at the end, rather than after every factor.
-Where a branch of a root is tested, the argument enters through an integer
-wrap count (``RationalComplex.pow_wrap``), which sign tests on the real and
+only.  ``power_sign`` compares powers of rationals over the integers, and
+radius order, the dyadic search of ``rational_between`` and the modulus
+tests of the points all go through it.  Products of
+Gaussian rationals (``RationalComplex.product``, which ``*`` and cycle
+products share) are formed over Z[i] with one common integer denominator
+and reduced once, at the end, rather than after every factor.  Where a
+branch of a root is tested, the argument enters through an integer wrap
+count (``RationalComplex.pow_wrap``), which sign tests on the real and
 imaginary parts decide.
 """
 
@@ -77,6 +81,24 @@ def root_float(q: Fraction, n: int) -> float:
     if num and not sys.float_info.min <= x < math.inf:
         return math.exp((math.log(num) - math.log(den)) / n)
     return x ** (1.0 / n)
+
+
+def power_sign(a: Fraction, x: int, b: Fraction, y: int) -> int:
+    """Sign of a**x - b**y for nonnegative rationals a and b, decided over
+    the integers: with a = n1/d1 and b = n2/d2 it is the sign of
+    n1**x * d2**y - n2**y * d1**x.  A negative exponent inverts its base,
+    which must then be nonzero."""
+    (n1, d1), (n2, d2) = a.as_integer_ratio(), b.as_integer_ratio()
+    if x < 0:
+        if not n1:
+            raise ZeroDivisionError("zero to a negative power")
+        n1, d1, x = d1, n1, -x
+    if y < 0:
+        if not n2:
+            raise ZeroDivisionError("zero to a negative power")
+        n2, d2, y = d2, n2, -y
+    u, v = n1**x * d2**y, n2**y * d1**x
+    return (u > v) - (u < v)
 
 
 def _divisors(n: int):
@@ -253,12 +275,9 @@ class ExactRadius:
         return self.sq == 0
 
     def cmp(self, other: "ExactRadius") -> int:
-        """Sign of self - other, decided over the integers: the sign of
-        self.sq**other.p - other.sq**self.p, cross-multiplied."""
-        (n1, d1), (n2, d2) = self.sq.as_integer_ratio(), other.sq.as_integer_ratio()
-        a = n1**other.p * d2**self.p
-        b = n2**self.p * d1**other.p
-        return (a > b) - (a < b)
+        """Sign of self - other: the sign of self.sq**other.p -
+        other.sq**self.p."""
+        return power_sign(self.sq, other.p, other.sq, self.p)
 
     def __lt__(self, o):
         return self.cmp(o) < 0
@@ -302,69 +321,93 @@ def _positive_real(z: RationalComplex) -> bool:
     return z.im == 0 and z.re > 0
 
 
-class SpectralPoint:
-    """An exact complex number usable as a spectral parameter."""
+@dataclass(frozen=True)
+class RootPoint:
+    """Branch ``j`` of the p-th root of w:
 
-    def modulus(self) -> ExactRadius:
-        raise NotImplementedError
+    ``|w|**(1/p) * exp(i*(arg w + 2*pi*j)/p)``.
+
+    At p == 1 it is the Gaussian rational w itself, and (0, 1, 0) is the
+    origin, the one root of zero.
+    """
+
+    w: RationalComplex
+    p: int = 1
+    branch: int = 0
+
+    def __post_init__(self):
+        if self.w.is_zero and self.p != 1:
+            raise ValueError("the origin is the root (0, 1)")
+        if not (0 <= self.branch < self.p):
+            raise ValueError("branch out of range")
 
     @property
     def is_zero(self) -> bool:
-        return False
-
-    def pow_equals(self, e: int, q: RationalComplex) -> bool:
-        """Decide self**e == q exactly (self nonzero unless QPoint)."""
-        raise NotImplementedError
-
-    def to_complex(self) -> complex:
-        raise NotImplementedError
-
-    def arg(self) -> float:
-        """An argument of self in radians, overflow-safe."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class QPoint(SpectralPoint):
-    """A Gaussian rational sample point."""
-
-    z: RationalComplex
-
-    @staticmethod
-    def of(re, im=0) -> "QPoint":
-        return QPoint(RationalComplex.of(re, im))
+        return self.w.is_zero
 
     def modulus(self) -> ExactRadius:
         return self._modulus
 
     @cached_property
     def _modulus(self) -> ExactRadius:
-        return ExactRadius(self.z.abs2(), 1)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.z.is_zero
+        return ExactRadius(self.w.abs2(), self.p)
 
     def pow_equals(self, e: int, q: RationalComplex) -> bool:
-        if self.z.is_zero:
-            return q.is_zero and e > 0
-        # moduli first, over the integers: most candidates fail there
-        if q.is_zero or self.z.abs2() ** e != q.abs2():
-            return False
-        return self.z**e == q
+        """Decide self**e == q exactly (0**e == q only for e > 0, q == 0)."""
+        if self.w.is_zero or q.is_zero:
+            return self.w.is_zero and q.is_zero and e > 0
+        if e % self.p == 0:
+            # every branch has self**p == w, so self**e == w**(e/p)
+            return self.w ** (e // self.p) == q
+        return self._pow_equals_by_winding(e, q)
 
-    def to_complex(self) -> complex:
-        return self.z.to_complex()
+    def _pow_equals_by_winding(self, e: int, q: RationalComplex) -> bool:
+        """self**e == q for nonzero q, decided for any e from the wrap
+        counts of w**e and q**p."""
+        if power_sign(self.w.abs2(), e, q.abs2(), self.p):
+            return False
+        # self**e == q iff e*(arg w + 2*pi*j) - p*arg(q) lies in 2*pi*p*Z.
+        # With e*arg(w) == arg(W) + 2*pi*k1 and p*arg(q) == arg(Q) + 2*pi*k2
+        # that is arg(W) == arg(Q) and k1 - k2 + e*j == 0 (mod p)
+        big_w, k1 = self.w.pow_wrap(e)
+        big_q, k2 = q.pow_wrap(self.p)
+        if not _positive_real(big_w * big_q.conj()):
+            return False
+        return (k1 - k2 + e * self.branch) % self.p == 0
 
     def arg(self) -> float:
-        return self.z.arg()
+        """An argument of self in radians, overflow-safe (0 at 0)."""
+        return (self.w.arg() + 2 * math.pi * self.branch) / self.p
+
+    def to_complex(self) -> complex:
+        if self.p == 1:
+            return self.w.to_complex()
+        rad, theta = float(self.modulus()), self.arg()
+        return rad * complex(math.cos(theta), math.sin(theta))
 
     def __str__(self):
-        return str(self.z)
+        if self.p == 1:
+            return str(self.w)
+        return f"root{self.branch}({self.w})^(1/{self.p})"
+
+
+class QPoint(RootPoint):
+    """The Gaussian rational point z, built as the root (z, 1)."""
+
+    def __init__(self, z: RationalComplex):
+        super().__init__(z)
+
+    @staticmethod
+    def of(re, im=0) -> "QPoint":
+        return QPoint(RationalComplex.of(re, im))
+
+    @property
+    def z(self) -> RationalComplex:
+        return self.w
 
 
 @dataclass(frozen=True)
-class CirclePoint(SpectralPoint):
+class CirclePoint:
     """The point ``r * u`` with u a rational direction of modulus one.
 
     Lets a sample sit exactly on a circle of irrational radius.
@@ -372,6 +415,7 @@ class CirclePoint(SpectralPoint):
 
     r: ExactRadius
     u: RationalComplex
+    is_zero = False
 
     def __post_init__(self):
         if self.u.abs2() != 1:
@@ -386,7 +430,7 @@ class CirclePoint(SpectralPoint):
         if q.is_zero:
             return False
         # moduli first, over the integers: |q|**(2*p) == sq**e
-        if q.abs2() ** self.r.p != self.r.sq**e:
+        if power_sign(q.abs2(), self.r.p, self.r.sq, e):
             return False
         # then r**e == q * conj(u)**e needs the right side to be a positive
         # real; its modulus is |q| == r**e already
@@ -402,61 +446,8 @@ class CirclePoint(SpectralPoint):
         return f"{self.r}*({self.u})"
 
 
-@dataclass(frozen=True)
-class RootPoint(SpectralPoint):
-    """Branch ``j`` of the p-th root of nonzero w:
-
-    ``|w|**(1/p) * exp(i*(arg w + 2*pi*j)/p)``.
-    """
-
-    w: RationalComplex
-    p: int
-    branch: int = 0
-
-    def __post_init__(self):
-        if self.w.is_zero:
-            raise ValueError("use QPoint for the origin")
-        if not (0 <= self.branch < self.p):
-            raise ValueError("branch out of range")
-
-    def modulus(self) -> ExactRadius:
-        return self._modulus
-
-    @cached_property
-    def _modulus(self) -> ExactRadius:
-        return ExactRadius(self.w.abs2(), self.p)
-
-    def pow_equals(self, e: int, q: RationalComplex) -> bool:
-        if q.is_zero:
-            return False
-        if e % self.p == 0:
-            # every branch has self**p == w, so self**e == w**(e/p)
-            return self.w ** (e // self.p) == q
-        return self._pow_equals_by_winding(e, q)
-
-    def _pow_equals_by_winding(self, e: int, q: RationalComplex) -> bool:
-        """self**e == q for nonzero q, decided for any e from the wrap
-        counts of w**e and q**p."""
-        if self.w.abs2() ** e != q.abs2() ** self.p:
-            return False
-        # self**e == q iff e*(arg w + 2*pi*j) - p*arg(q) lies in 2*pi*p*Z.
-        # With e*arg(w) == arg(W) + 2*pi*k1 and p*arg(q) == arg(Q) + 2*pi*k2
-        # that is arg(W) == arg(Q) and k1 - k2 + e*j == 0 (mod p)
-        big_w, k1 = self.w.pow_wrap(e)
-        big_q, k2 = q.pow_wrap(self.p)
-        if not _positive_real(big_w * big_q.conj()):
-            return False
-        return (k1 - k2 + e * self.branch) % self.p == 0
-
-    def arg(self) -> float:
-        return (self.w.arg() + 2 * math.pi * self.branch) / self.p
-
-    def to_complex(self) -> complex:
-        rad, theta = float(self.modulus()), self.arg()
-        return rad * complex(math.cos(theta), math.sin(theta))
-
-    def __str__(self):
-        return f"root{self.branch}({self.w})^(1/{self.p})"
+# an exact complex number usable as a spectral parameter
+SpectralPoint = RootPoint | CirclePoint
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +470,9 @@ def rational_between(lo: ExactRadius, hi: ExactRadius | None) -> Fraction:
         scaled = lo.sq * 2 ** (n * k)  # (lo * 2**k) ** n
         c = _int_nth_root(scaled.numerator // scaled.denominator, n)[0] + 1
         cand = Fraction(c, 2**k)
-        return cand if hi is None or ExactRadius.from_fraction(cand) < hi else None
+        # cand < hi == hi.sq**(1/(2*hi.p)) iff cand**(2*hi.p) < hi.sq
+        return (cand if hi is None or power_sign(cand, 2 * hi.p, hi.sq, 1) < 0
+                else None)
 
     bad, good = -1, 0
     while (best := fitting(good)) is None:

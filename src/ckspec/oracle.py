@@ -70,18 +70,13 @@ def _mono_div(a: Mono, b: Mono) -> Mono:
 
 
 def _mono_eq(lam: SpectralPoint, a: Mono, b: Mono) -> bool:
-    if a[0].is_zero or b[0].is_zero:
-        return a[0].is_zero and b[0].is_zero
     return lam.pow_equals(a[1] - b[1], b[0] / a[0])
 
 
 def _active(m: ValidatedModel, lam: SpectralPoint, cid: str) -> bool:
     """Whether lam**p equals the cycle weight product (cycle resonance)."""
     cyc = m.cycle(cid)
-    w = cyc.weight_product()
-    if w.is_zero:
-        return False
-    return lam.pow_equals(cyc.period, w)
+    return lam.pow_equals(cyc.period, cyc.weight_product())
 
 
 def _radius_index(m: ValidatedModel):

@@ -20,8 +20,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .exact import (RC_ZERO, ExactRadius, QPoint, RationalComplex,
-                    RootPoint, SpectralPoint, root_float)
+from .exact import (RC_ZERO, ExactRadius, RationalComplex, RootPoint,
+                    SpectralPoint, root_float)
 
 ORIGIN = (RC_ZERO, 1)  # the root set {z : z**1 == 0}
 
@@ -57,8 +57,7 @@ class RadialSet:
 
     def point_members(self) -> list[SpectralPoint]:
         """The finite point part as exact sample points."""
-        return [QPoint(w) if p == 1 else RootPoint(w, p, j)
-                for w, p in self.root_sets for j in range(p)]
+        return [RootPoint(w, p, j) for w, p in self.root_sets for j in range(p)]
 
     def issubset(self, other: "RadialSet") -> bool:
         return (all(_covers(other.annuli, lo, hi) for lo, hi in self.annuli)

@@ -3,11 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ckspec.exact import (CirclePoint, ExactRadius, QPoint, RationalComplex,
-                          RootPoint, _int_nth_root, fraction_nth_root,
-                          rational_between)
+from ckspec.exact import (RC_ZERO, CirclePoint, ExactRadius, QPoint,
+                          RationalComplex, RootPoint, _int_nth_root,
+                          fraction_nth_root, power_sign, rational_between)
 from ckspec.radialset import canonicalize
 
 RC = RationalComplex.of
@@ -322,3 +323,118 @@ def test_root_point_power_of_the_period_matches_the_winding_test(
     lam = RootPoint(w, p, j % p)
     want = False if q.is_zero else lam._pow_equals_by_winding(k * p, q)
     assert lam.pow_equals(k * p, q) == want
+
+
+# ---------------------------------------------------------------------------
+# power_sign against plain Fraction powers
+
+_exponents = st.integers(-6, 40)
+_bases = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def _power_pairs(draw):
+    """(a, x, b, y): free pairs, a zero base (positive exponent only), equal
+    pairs, pairs one part in 10**40 apart, and pairs with a**x == b**y."""
+    shape = draw(st.sampled_from(["free", "zero", "equal", "near", "powers"]))
+    a, x, b, y = draw(_bases), draw(_exponents), draw(_bases), draw(_exponents)
+    if shape == "zero":
+        a, x = Fraction(0), draw(st.integers(1, 40))
+        if draw(st.booleans()):
+            b, y = Fraction(0), draw(st.integers(1, 40))
+    elif shape == "equal":
+        b, y = a, x
+    elif shape == "near":
+        b, y = a * (1 + Fraction(draw(st.sampled_from([1, -1])), 10**40)), x
+    elif shape == "powers":
+        c = draw(st.builds(Fraction, st.integers(1, 40), st.integers(1, 40)))
+        x, y = draw(st.integers(-6, 12)), draw(st.integers(-6, 12))
+        a, b = c**y, c**x  # a**x == c**(x*y) == b**y
+    return a, x, b, y
+
+
+@given(_power_pairs())
+@settings(max_examples=400, deadline=None)
+def test_power_sign_matches_fraction_powers(pair):
+    a, x, b, y = pair
+    d = a**x - b**y
+    want = (d > 0) - (d < 0)
+    assert power_sign(a, x, b, y) == want
+    assert power_sign(b, y, a, x) == -want
+
+
+def test_power_sign_edges():
+    assert power_sign(Fraction(0), 3, Fraction(0), 1) == 0
+    assert power_sign(Fraction(0), 0, Fraction(1), 5) == 0  # 0**0 == 1
+    with pytest.raises(ZeroDivisionError):
+        power_sign(Fraction(0), -1, Fraction(1), 1)
+    with pytest.raises(ZeroDivisionError):
+        power_sign(Fraction(1), 1, Fraction(0), -2)
+
+
+# ---------------------------------------------------------------------------
+# the root (z, 1): Gaussian rational points and the origin
+
+
+class _GaussianPoint:
+    """The Gaussian rational point as a class of its own, before it became
+    the root (z, 1): the reference the p == 1 root must agree with."""
+
+    def __init__(self, z: RationalComplex):
+        self.z = z
+
+    def modulus(self) -> ExactRadius:
+        return ExactRadius(self.z.abs2(), 1)
+
+    def pow_equals(self, e: int, q: RationalComplex) -> bool:
+        if self.z.is_zero:
+            return q.is_zero and e > 0
+        if q.is_zero or self.z.abs2() ** e != q.abs2():
+            return False
+        return self.z**e == q
+
+    def to_complex(self) -> complex:
+        return self.z.to_complex()
+
+    def arg(self) -> float:
+        return self.z.arg()
+
+    def __str__(self):
+        return str(self.z)
+
+
+def test_root_point_at_the_origin():
+    origin = RootPoint(RC_ZERO)
+    assert origin.is_zero
+    assert origin.modulus() == ExactRadius.zero()
+    assert str(origin) == "0"
+    assert [e for e in range(-3, 5) if origin.pow_equals(e, RC(0))] == [1, 2, 3, 4]
+    assert not any(origin.pow_equals(e, RC(1)) for e in range(-3, 5))
+    with pytest.raises(ValueError):
+        RootPoint(RC_ZERO, 2)
+
+
+def test_qpoint_is_the_root_of_degree_one():
+    lam = QPoint.of(Fraction(3, 2), -1)
+    assert isinstance(lam, RootPoint)
+    assert (lam.w, lam.p, lam.branch) == (RC(Fraction(3, 2), -1), 1, 0)
+    assert lam.z == lam.w
+
+
+def _bits(x: complex) -> tuple[str, str]:
+    return x.real.hex(), x.imag.hex()
+
+
+@given(_gaussian, st.integers(-3, 9), st.sampled_from(_UNITS[1:]))
+@settings(max_examples=300, deadline=None)
+def test_root_of_degree_one_matches_the_gaussian_point(z, e, u):
+    lam, ref = RootPoint(z), _GaussianPoint(z)
+    targets = [RC(0), RC(1), u]
+    if not (z.is_zero and e <= 0):
+        targets += [z**e, z**e * u]
+    for q in targets:
+        assert lam.pow_equals(e, q) == ref.pow_equals(e, q), (z, e, q)
+    assert str(lam) == str(ref)
+    assert lam.modulus() == ref.modulus()
+    assert _bits(lam.to_complex()) == _bits(ref.to_complex())
+    assert lam.arg().hex() == ref.arg().hex()
