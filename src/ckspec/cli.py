@@ -13,6 +13,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import fixtures
 from .exact import QPoint, RationalComplex
@@ -102,6 +103,7 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+@cache  # parse_args leaves the parser as it was, so a process needs one
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ckspec",

@@ -363,16 +363,22 @@ def _strict_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _parse_weight(parts, where: str) -> RationalComplex:
-    # json.loads makes plain ints, so ``type(x) is int`` rejects bool just as
-    # _strict_int does, without a call per entry
-    if (not isinstance(parts, list) or len(parts) != 4
-            or not all(type(x) is int for x in parts)):
+def _parse_weight(parts, where: str, built: dict) -> RationalComplex:
+    """The weight [reNum,reDen,imNum,imDen]; equal entries of one file share
+    the object kept in ``built``."""
+    # json.loads makes plain ints, so comparing the types rejects bool just
+    # as _strict_int does.  It runs before the lookup, because True == 1 and
+    # both hash alike: [true, 1, 0, 1] would find the entry of [1, 1, 0, 1]
+    if not isinstance(parts, list) or list(map(type, parts)) != [int] * 4:
         raise MalformedWeight(f"{where}: weight must be [reNum,reDen,imNum,imDen]")
-    try:
-        return RationalComplex.from_list(parts)
-    except ZeroDivisionError as e:
-        raise MalformedWeight(f"{where}: {e}") from e
+    key = tuple(parts)
+    w = built.get(key)
+    if w is None:
+        try:
+            w = built[key] = RationalComplex.from_list(parts)
+        except ZeroDivisionError as e:
+            raise MalformedWeight(f"{where}: {e}") from e
+    return w
 
 
 def parse_model_json(text: str) -> ValidatedModel:
@@ -384,6 +390,7 @@ def parse_model_json(text: str) -> ValidatedModel:
         raise SchemaError(f"unreadable JSON: {e}") from e
     _require_keys(doc, {"name", "cycles", "rays"}, {"name", "cycles", "rays"},
                   "top level")
+    built: dict[tuple, RationalComplex] = {}
     cycles = []
     for i, c in enumerate(_require_list(doc["cycles"], "cycles")):
         where = f"cycles[{i}]"
@@ -392,7 +399,7 @@ def parse_model_json(text: str) -> ValidatedModel:
             raise MalformedWeight(f"{where}: weights must be a nonempty list")
         cycles.append(Cycle(
             id=str(c["id"]),
-            weights=tuple(_parse_weight(w, where) for w in c["weights"]),
+            weights=tuple(_parse_weight(w, where, built) for w in c["weights"]),
         ))
     rays = []
     for i, r in enumerate(_require_list(doc["rays"], "rays")):
@@ -419,7 +426,8 @@ def parse_model_json(text: str) -> ValidatedModel:
             if not isinstance(e, list) or len(e) != 5 or not _strict_int(e[0]):
                 raise MalformedWeight(
                     f"{where}.exceptional[{j}]: expect [index,reNum,reDen,imNum,imDen]")
-            exc.append((e[0], _parse_weight(e[1:], f"{where}.exceptional[{j}]")))
+            exc.append((e[0], _parse_weight(e[1:], f"{where}.exceptional[{j}]",
+                                            built)))
         rays.append(Ray(
             id=str(r["id"]),
             kind=str(r["kind"]),

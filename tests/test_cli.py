@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import ckspec
-from ckspec.cli import main
+from ckspec.cli import build_parser, main
 from ckspec.fixtures import NAMES, fixture_text
 from ckspec.model import model_to_json, parse_model_json
+from ckspec.oracle import DEFAULT_HORIZON
 
 from _corpus import malformed_weights
 
@@ -272,6 +273,27 @@ def test_closed_stdout_is_no_input_error(fixture_file):
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0, (args, err)
         assert err == b"", args
+
+
+def test_one_parser_serves_every_call_of_a_process(fixture_file, capsys):
+    half = fixture_file("half")
+    assert main(["certify", half]) == 1  # --lambda is required
+    assert "--lambda" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["certify", "--help"])
+    assert info.value.code == 0
+    assert f"(default {DEFAULT_HORIZON})" in capsys.readouterr().out
+    assert main(["analyze", "--bogus"]) == 1
+    capsys.readouterr()
+    # after those, a call prints what a fresh interpreter prints
+    for args in (["analyze", half, "--json"],
+                 ["certify", half, "--lambda=9/8,0", "--horizon", "400"]):
+        code = main(args)
+        out = capsys.readouterr().out
+        proc = _cli_process(*args, stdout=subprocess.PIPE)
+        fresh, err = proc.communicate(timeout=60)
+        assert (code, out) == (proc.returncode, fresh.decode()), (args, err)
+    assert build_parser.cache_info().misses == 1
 
 
 def test_missing_model_file_is_an_input_error(tmp_path):

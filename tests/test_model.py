@@ -202,3 +202,57 @@ def test_malformed_weight_is_rejected_with_its_location(text, prefix):
     with pytest.raises(MalformedWeight) as info:
         parse_model_json(text)
     assert str(info.value).startswith(prefix + ":")
+
+
+def _two_cycles(second, exceptional=()):
+    """A model file: cycle A of weight [1, 1, 0, 1], cycle B of the given
+    weights, and a forward ray into A with the given exceptional entries."""
+    return json.dumps({
+        "name": "m",
+        "cycles": [{"id": "A", "weights": [[1, 1, 0, 1]]},
+                   {"id": "B", "weights": second}],
+        "rays": [{"id": "R", "kind": "forward", "multiplicity": 1,
+                  "omega": {"cycle": "A", "phase": 0},
+                  "exceptional": list(exceptional)}],
+    })
+
+
+def test_equal_weights_of_a_file_share_one_object():
+    text = _two_cycles([[1, 1, 0, 1], [2, 4, 0, 1], [2, 4, 0, 1]],
+                       [[0, 1, 1, 0, 1], [3, 2, 4, 0, 1]])
+    m = parse_model_json(text)
+    one, half = m.cycle("A").weights[0], m.cycle("B").weights[1]
+    assert m.cycle("B").weights == (one, half, half)
+    assert m.cycle("B").weights[0] is one and m.cycle("B").weights[2] is half
+    (_, first), (_, second) = m.rays["R"].exceptional
+    assert first is one and second is half
+    # nothing is kept from one file to the next
+    assert parse_model_json(text).cycle("A").weights[0] is not one
+
+
+SHAPE = "weight must be [reNum,reDen,imNum,imDen]"
+
+
+@pytest.mark.parametrize("text,where", [
+    # True == 1 and both hash alike, so a lookup before the type check would
+    # find the weight of cycle A
+    (_two_cycles([[True, 1, 0, 1]]), "cycles[1]"),
+    (_two_cycles([[1, 1, 0, 1]], [[0, 1, True, 0, 1]]), "rays[0].exceptional[0]"),
+    (_two_cycles([[1, 1, 0, 1]], [[0, 1, 1, 0, False]]), "rays[0].exceptional[0]"),
+    (_two_cycles([[1, 1, 0, 1], [1.0, 1, 0, 1]]), "cycles[1]"),
+], ids=["cycle-true", "exceptional-true", "exceptional-false", "cycle-float"])
+def test_a_weight_equal_to_an_earlier_one_is_still_type_checked(text, where):
+    with pytest.raises(MalformedWeight) as info:
+        parse_model_json(text)
+    assert str(info.value) == f"{where}: {SHAPE}"
+
+
+def test_a_repeated_zero_denominator_is_reported_at_its_first_location():
+    text = _two_cycles([[1, 1, 0, 1], [1, 0, 0, 1]], [[2, 1, 0, 0, 1]])
+    with pytest.raises(MalformedWeight) as info:
+        parse_model_json(text)
+    assert str(info.value) == "cycles[1]: zero denominator in weight"
+    text = _two_cycles([[1, 1, 0, 1]], [[2, 1, 0, 0, 1], [3, 1, 0, 0, 1]])
+    with pytest.raises(MalformedWeight) as info:
+        parse_model_json(text)
+    assert str(info.value) == "rays[0].exceptional[0]: zero denominator in weight"
