@@ -220,24 +220,6 @@ class ValidatedModel:
             comps[find(r.omega.cycle)]["rays"].append(r.id)
         return list(comps.values())
 
-    @cached_property
-    def critical(self) -> dict[ExactRadius, frozenset[str]]:
-        """The critical radii: zero and every cycle radius, each once and in
-        increasing order, mapped to the roles of the cycles at that radius.
-        The roles are "cluster" (a boundary cycle), "bundle" (a cycle under
-        an omega-bundle) and "image" (a cycle joined to a two-sided ray)."""
-        roles: dict[ExactRadius, set[str]] = {ExactRadius.zero(): set()}
-        for cid, cyc in self.cycles.items():
-            tags = roles.setdefault(cyc.gm(), set())
-            for r in self._omega_incident[cid] + self._alpha_incident[cid]:
-                if r.is_two_sided:
-                    tags.add("image")
-                else:
-                    tags.add("cluster")
-                    if r.multiplicity == OMEGA:
-                        tags.add("bundle")
-        return {r: frozenset(roles[r]) for r in sorted(roles)}
-
     def heads_count(self):
         """The number of ray heads: INF under a bundle (OMEGA is INF)."""
         return sum(r.multiplicity for r in self.forward_rays())

@@ -587,7 +587,7 @@ def out_certificate(m: ValidatedModel, lam: SpectralPoint,
                 if hit:
                     entry = {"route": "inverse", "n": hit[0], "margin": hit[1],
                              "kernel_checked": True}
-        elif not comp["rays"] and len(comp["cycles"]) == 1:
+        elif not comp["rays"]:  # a bare cycle: rays alone join cycles
             cyc = m.cycle(comp["cycles"][0])
             w = cyc.weight_product()
             if not lam.pow_equals(cyc.period, w):

@@ -283,8 +283,10 @@ def _in_gaps(r: ExactRadius, gaps: list[RadialGap]) -> bool:
 # ---------------------------------------------------------------------------
 # SVG rendering
 
+PANEL = 240  # the side of one square panel, in pixels
 
-def render_svg(named_sets: list[tuple[str, RadialSet]], size: int = 240) -> str:
+
+def render_svg(named_sets: list[tuple[str, RadialSet]]) -> str:
     """Small-multiple plot: one panel per named set, annuli as rings.
 
     Every radius enters as its exact ratio to the largest one, so radii
@@ -294,16 +296,16 @@ def render_svg(named_sets: list[tuple[str, RadialSet]], size: int = 240) -> str:
         mr = s.max_radius()
         if mr is not None and mr > rmax:
             rmax = mr
-    px = size / 2 - 12  # the length of rmax in pixels
+    px = PANEL / 2 - 12  # the length of rmax in pixels
 
     def scaled(r: ExactRadius) -> float:
         return px * root_float(r.sq**rmax.p / rmax.sq**r.p, 2 * r.p * rmax.p)
 
     panels = []
     for idx, (name, s) in enumerate(named_sets):
-        cx = idx * size + size / 2
-        cy = size / 2
-        shapes = [f'<circle cx="{cx}" cy="{cy}" r="{size/2 - 4}" fill="none" '
+        cx = idx * PANEL + PANEL / 2
+        cy = PANEL / 2
+        shapes = [f'<circle cx="{cx}" cy="{cy}" r="{PANEL/2 - 4}" fill="none" '
                   f'stroke="#ddd"/>']
         for lo, hi in s.annuli:
             ro, ri = scaled(hi), scaled(lo)
@@ -330,10 +332,10 @@ def render_svg(named_sets: list[tuple[str, RadialSet]], size: int = 240) -> str:
                 shapes.append(f'<circle cx="{cx + rad * math.cos(theta)}" '
                               f'cy="{cy - rad * math.sin(theta)}" r="2.5" '
                               f'fill="#d62728"/>')
-        shapes.append(f'<text x="{cx}" y="{size - 4}" text-anchor="middle" '
+        shapes.append(f'<text x="{cx}" y="{PANEL - 4}" text-anchor="middle" '
                       f'font-size="11">{name}</text>')
         panels.append("".join(shapes))
-    width = size * len(named_sets)
+    width = PANEL * len(named_sets)
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{size}" viewBox="0 0 {width} {size}">'
+            f'height="{PANEL}" viewBox="0 0 {width} {PANEL}">'
             + "".join(panels) + "</svg>")

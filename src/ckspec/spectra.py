@@ -5,15 +5,15 @@ The transient part of the spectrum is a closed disk whose radius is the
 largest cluster radius; the invertible part contributes, per weakly
 connected component of the eventual image, either the root set of a bare
 cycle or the annulus spanned by the component's cycle radii.  The five
-essential spectra are assembled from the finitely many critical radii (the
-cycle geometric means, listed with their roles in ``ValidatedModel.critical``):
-upper semi-Fredholmness fails exactly on cluster circles, below bundle
-clusters, and on ray-incident circles of the eventual image; lower
-semi-Fredholmness fails on the same circles.  Between consecutive critical
-radii every classification is constant, so one exact rational sample per
-stratum pins the Fredholm index there; Browder removal keeps only those
-complement components of the semi-Fredholm spectrum that stay inside the
-spectrum.
+essential spectra are assembled from the finitely many critical radii, zero
+and the cycle geometric means, each one row of the critical table
+``_strata`` with the roles and the cycles at that radius.  Upper
+semi-Fredholmness fails exactly on cluster circles, below bundle clusters,
+and on ray-incident circles of the eventual image; lower semi-Fredholmness
+fails on the same circles.  Between consecutive critical radii every
+classification is constant, so one exact rational sample per stratum pins
+the Fredholm index there; Browder removal keeps only those complement
+components of the semi-Fredholm spectrum that stay inside the spectrum.
 
 Off the critical circles no cycle resonates (lam**p == W forces
 |lam| == |W|**(1/p), a critical radius), so the kernel and the defect of
@@ -49,12 +49,12 @@ solvers; ``self_check`` runs that grid.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exact import (INF, CirclePoint, ExactRadius, QPoint, RationalComplex,
                     RootPoint, SpectralPoint, is_infinite, rational_between)
-from .model import OMEGA, OrbitModel, ValidatedModel, core_sets
+from .model import OMEGA, Cycle, OrbitModel, ValidatedModel, core_sets
 from .oracle import chain_defect_dim, chain_kernel_dim
 from .radialset import (ORIGIN, RadialSet, canonicalize,
                         complement_components, intersect,
@@ -71,69 +71,73 @@ def fmt_dim(d) -> str | None:
     return "infinite" if is_infinite(d) else str(d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FredholmData:
-    lam: str
-    upper: bool
-    lower: bool
-    dim_ker: object
-    defect: object
-    index: int | None
-
-    def to_json(self) -> dict:
-        return {"lambda": self.lam, "upper": self.upper, "lower": self.lower,
-                "dim_ker": fmt_dim(self.dim_ker), "defect": fmt_dim(self.defect),
-                "index": self.index}
-
-
-@dataclass
-class ZeroReport:
-    """Classification of the operator itself (lam == 0)."""
+    """The Fredholm data of lam I - T at a point or on a stratum; dim_ker and
+    defect are None where the engine claims no dimension (fmt_dim)."""
 
     upper: bool
     lower: bool
     dim_ker: object
     defect: object
-    index: int | None
-    weight_vanishes_on_sources: bool
-    weyl: bool
-    weyl_criterion: bool  # Fredholm and w == 0 on every source
-    in_sigma5: bool = True
+
+    @property
+    def index(self) -> int | None:
+        return self.dim_ker - self.defect if self.upper and self.lower else None
 
     def to_json(self) -> dict:
         return {"upper": self.upper, "lower": self.lower,
                 "dim_ker": fmt_dim(self.dim_ker), "defect": fmt_dim(self.defect),
-                "index": self.index,
+                "index": self.index}
+
+    def describe(self) -> str:
+        return (f"upper={self.upper} lower={self.lower} "
+                f"dim_ker={fmt_dim(self.dim_ker)} defect={fmt_dim(self.defect)} "
+                f"index={self.index}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ZeroReport(FredholmData):
+    """Classification of the operator itself (lam == 0)."""
+
+    weight_vanishes_on_sources: bool
+    in_sigma5: bool = True
+
+    @property
+    def weyl(self) -> bool:
+        return self.index == 0
+
+    @property
+    def weyl_criterion(self) -> bool:
+        """Fredholm and w == 0 on every source."""
+        return self.upper and self.lower and self.weight_vanishes_on_sources
+
+    def to_json(self) -> dict:
+        return {**super().to_json(),
                 "weight_vanishes_on_sources": self.weight_vanishes_on_sources,
                 "weyl": self.weyl, "weyl_criterion": self.weyl_criterion,
                 "in_sigma5": self.in_sigma5}
 
 
-@dataclass(frozen=True)
-class Stratum:
-    """An open radial stratum (lo, hi) between consecutive critical radii
-    (hi is None above the largest), its exact rational sample, and the
+@dataclass(frozen=True, kw_only=True)
+class Stratum(FredholmData):
+    """One row of the critical table: a critical radius lo with the roles and
+    the cycles at it, and the open stratum (lo, hi) up to the next one (hi
+    is None above the largest) with its exact rational sample and the
     Fredholm data that hold on all of it.  Lower semi-Fredholmness fails
     only on critical circles, so it holds on every stratum."""
 
     lo: ExactRadius
     hi: ExactRadius | None
     sample: Fraction
-    dim_ker: object  # int or INF
-    defect: int
-    upper: bool
-
-    @property
-    def index(self) -> int | None:
-        return self.dim_ker - self.defect if self.upper else None
+    roles: frozenset[str]
+    cycles: tuple[Cycle, ...]
 
     def to_json(self) -> dict:
         return {"lo": self.lo.to_json(),
                 "hi": None if self.hi is None else self.hi.to_json(),
                 "sample": [self.sample.numerator, self.sample.denominator],
-                "lambda": str(QPoint.of(self.sample)), "upper": self.upper,
-                "lower": True, "dim_ker": fmt_dim(self.dim_ker),
-                "defect": fmt_dim(self.defect), "index": self.index}
+                "lambda": str(QPoint.of(self.sample)), **super().to_json()}
 
 
 @dataclass
@@ -197,9 +201,7 @@ class SpectralReport:
             lines.append(f"  {name} = {s.describe()}")
         z = self.zero
         lines.append("at lambda = 0:")
-        lines.append(f"  upper={z.upper} lower={z.lower} "
-                     f"dim_ker={fmt_dim(z.dim_ker)} defect={fmt_dim(z.defect)} "
-                     f"index={z.index} in_sigma5={z.in_sigma5}")
+        lines.append(f"  {z.describe()} in_sigma5={z.in_sigma5}")
         lines.append(f"  weight vanishes on sources: "
                      f"{z.weight_vanishes_on_sources}; weyl={z.weyl} "
                      f"(criterion: {z.weyl_criterion})")
@@ -209,10 +211,7 @@ class SpectralReport:
         lines.append("index by radial stratum:")
         for st in self.strata:
             hi = "inf" if st.hi is None else str(st.hi)
-            lines.append(f"  ({st.lo}, {hi}): sample {st.sample}: "
-                         f"upper={st.upper} lower=True "
-                         f"dim_ker={fmt_dim(st.dim_ker)} defect={fmt_dim(st.defect)} "
-                         f"index={st.index}")
+            lines.append(f"  ({st.lo}, {hi}): sample {st.sample}: {st.describe()}")
         return "\n".join(lines)
 
     def to_svg(self) -> str:
@@ -229,8 +228,8 @@ _BREAKS_BOTH = frozenset({"cluster", "image"})
 
 def _top(m: ValidatedModel, role: str) -> ExactRadius | None:
     """The largest critical radius with the given role, if any."""
-    return next((r for r, roles in reversed(m.critical.items())
-                 if role in roles), None)
+    return next((st.lo for st in reversed(m.derived(_strata))
+                 if role in st.roles), None)
 
 
 def sigma_M(m: ValidatedModel) -> RadialSet:
@@ -268,59 +267,47 @@ def sigma_L(m: ValidatedModel) -> RadialSet:
 def zero_analysis(m: ValidatedModel) -> ZeroReport:
     cs = core_sets(m)
     z_isolated = not is_infinite(cs.z_w_count)
-    sources_finite = not is_infinite(cs.sources_count)
-    upper = z_isolated and sources_finite
-    lower = z_isolated
-    dim_ker = cs.sources_count + cs.z_w_count  # INF + n == INF
-    defect = cs.z_w_count
-    fred = upper and lower
-    index = dim_ker - defect if fred else None
-    vanish = True
-    for ray in m.forward_rays():
-        if not m.ray_weight(ray, 0, 0).is_zero:
-            vanish = False
-        if ray.multiplicity > 1 and not m.ray_weight(ray, 0, 1).is_zero:
-            vanish = False
-    return ZeroReport(upper=upper, lower=lower, dim_ker=dim_ker, defect=defect,
-                      index=index, weight_vanishes_on_sources=vanish,
-                      weyl=fred and index == 0, weyl_criterion=fred and vanish)
+    # every copy of a ray past copy 0 follows the cycle weights, as copy 1
+    vanish = all(m.ray_weight(ray, 0, copy).is_zero for ray in m.forward_rays()
+                 for copy in range(min(ray.multiplicity, 2)))
+    return ZeroReport(upper=z_isolated and not is_infinite(cs.sources_count),
+                      lower=z_isolated,
+                      dim_ker=cs.sources_count + cs.z_w_count,  # INF + n == INF
+                      defect=cs.z_w_count, weight_vanishes_on_sources=vanish)
 
 
-def _cycles_by_radius(m: ValidatedModel) -> dict:
-    """radius -> the cycles at that radius (kept through ``m.derived``)."""
-    at: dict = {}
-    for cyc in m.cycles.values():
-        at.setdefault(cyc.gm(), []).append(cyc)
-    return at
+def _rows_by_radius(m: ValidatedModel) -> dict:
+    """critical radius -> its row of ``_strata`` (kept through ``m.derived``)."""
+    return {st.lo: st for st in m.derived(_strata)}
 
 
 def fredholm_data(m: ValidatedModel, lam: SpectralPoint) -> FredholmData:
     """Classify lam by the structural characterizations, with no chain solve.
 
     dim_ker/defect are the dimensions of ker(lam I - T) and ker(lam I - T'),
-    read from the stratum sweep (see the module docstring): one bisection
-    finds the stratum of |lam|, or the stratum above when |lam| is critical.
-    On a critical circle without a cluster or image role the cycles there
-    that resonate with lam add one each to both.  On a cluster or image
-    circle neither semi-Fredholm flag holds, and dim_ker, defect and index
-    are None: the engine claims only the flags there.
+    read from the critical table (see the module docstring).  Off the
+    critical circles one bisection finds the stratum of |lam|.  On one, its
+    row gives the stratum above, and the row's cycles that resonate with lam
+    add one each to both, unless the circle has a cluster or image role:
+    there neither semi-Fredholm flag holds, and dim_ker, defect and index
+    are None, as the engine claims only the flags.
     """
     if lam.is_zero:
         z = zero_analysis(m)
-        return FredholmData("0", z.upper, z.lower, z.dim_ker, z.defect, z.index)
+        return FredholmData(z.upper, z.lower, z.dim_ker, z.defect)
     mod = lam.modulus()
-    roles = m.critical.get(mod)
-    if roles is not None and not roles.isdisjoint(_BREAKS_BOTH):
-        return FredholmData(str(lam), False, False, None, None, None)
-    strata = m.derived(_strata)
-    st = strata[bisect_right(strata, mod, key=lambda row: row.lo) - 1]
-    dim_ker, defect = st.dim_ker, st.defect
-    if roles is not None:
-        resonant = sum(1 for cyc in m.derived(_cycles_by_radius)[mod]
-                       if lam.pow_equals(cyc.period, cyc.weight_product()))
-        dim_ker, defect = dim_ker + resonant, defect + resonant
+    st = m.derived(_rows_by_radius).get(mod)
+    if st is None:
+        strata = m.derived(_strata)
+        st = strata[bisect_right(strata, mod, key=lambda row: row.lo) - 1]
+        return FredholmData(st.upper, True, st.dim_ker, st.defect)
+    if not st.roles.isdisjoint(_BREAKS_BOTH):
+        return FredholmData(False, False, None, None)
     # a resonant cycle adds as much to the defect as to the kernel
-    return FredholmData(str(lam), st.upper, True, dim_ker, defect, st.index)
+    resonant = sum(1 for cyc in st.cycles
+                   if lam.pow_equals(cyc.period, cyc.weight_product()))
+    return FredholmData(st.upper, True, st.dim_ker + resonant,
+                        st.defect + resonant)
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +315,18 @@ def fredholm_data(m: ValidatedModel, lam: SpectralPoint) -> FredholmData:
 
 
 def _strata(m: ValidatedModel) -> list[Stratum]:
-    """Every open stratum of the model: the per-ray runs of the module
-    docstring, summed in one difference sweep over the ranks of the critical
-    radii.  Read it through ``m.derived(_strata)``, which computes it once
-    per model."""
-    radii = list(m.critical)
+    """The critical table: one row per critical radius, with the roles and
+    the cycles of that radius and the per-ray runs of the module docstring,
+    summed in one difference sweep over the ranks.  Read it through
+    ``m.derived(_strata)``, which computes it once per model."""
+    at: dict = {ExactRadius.zero(): []}  # radius -> the cycles there
+    for cyc in m.cycles.values():
+        at.setdefault(cyc.gm(), []).append(cyc)
+    radii = sorted(at)
     rank = {r: j for j, r in enumerate(radii)}
+    # "cluster": a boundary cycle; "bundle": a cycle under an omega-bundle;
+    # "image": a cycle joined to a two-sided ray
+    roles = [set() for _ in radii]
     ker = [0] * (len(radii) + 1)
     dfc = [0] * (len(radii) + 1)
     below_bundle = 0  # strata below this rank lie inside a bundle cluster
@@ -346,12 +339,16 @@ def _strata(m: ValidatedModel) -> list[Stratum]:
     for ray in m.raw.rays:
         j_w = rank[m.cycle(ray.omega.cycle).gm()]
         if ray.is_forward:
+            roles[j_w].add("cluster")
             if ray.multiplicity == OMEGA:
+                roles[j_w].add("bundle")
                 below_bundle = max(below_bundle, j_w)
             else:
                 run(ker, 0, j_w, ray.multiplicity)
             continue
         j_a = rank[m.cycle(ray.alpha.cycle).gm()]
+        roles[j_w].add("image")
+        roles[j_a].add("image")
         if m.ray_has_zero(ray):
             run(ker, 0, j_w)
             run(dfc, 0, j_a)
@@ -366,8 +363,10 @@ def _strata(m: ValidatedModel) -> list[Stratum]:
         # below a bundle cluster infinitely many sources break upper
         # semi-Fredholmness; lower semi-Fredholmness fails only on circles
         inside = i < below_bundle
-        out.append(Stratum(lo, hi, rational_between(lo, hi),
-                           INF if inside else k, d, not inside))
+        out.append(Stratum(lo=lo, hi=hi, sample=rational_between(lo, hi),
+                           upper=not inside, lower=True,
+                           dim_ker=INF if inside else k, defect=d,
+                           roles=frozenset(roles[i]), cycles=tuple(at[lo])))
     return out
 
 
@@ -379,8 +378,9 @@ def essential_spectra(m: ValidatedModel) -> SpectralReport:
 
     # sigma_2' has the circles of sigma_2, and 0 in sigma_2' forces 0 in
     # sigma_2 (not lower at 0 implies not upper), so sigma_2' <= sigma_2
-    circles = [(r, r) for r, roles in m.critical.items()
-               if not roles.isdisjoint(_BREAKS_BOTH)]
+    strata = m.derived(_strata)
+    circles = [(st.lo, st.lo) for st in strata
+               if not st.roles.isdisjoint(_BREAKS_BOTH)]
     top = _top(m, "bundle")
     disk = [] if top is None else [(ExactRadius.zero(), top)]
     s2 = canonicalize(annuli=circles + disk,
@@ -392,7 +392,6 @@ def essential_spectra(m: ValidatedModel) -> SpectralReport:
 
     # sigma_4 adds to sigma_3 the bounded strata of nonzero index and the
     # origin; the point part of sigma_3 is at most the origin
-    strata = m.derived(_strata)
     s4 = canonicalize(annuli=list(s3.annuli)
                       + [(st.lo, st.hi) for st in strata
                          if st.hi is not None and st.index not in (None, 0)],
@@ -406,10 +405,10 @@ def essential_spectra(m: ValidatedModel) -> SpectralReport:
     # points of sigma_1 puncture the complement components rather than
     # belonging to them, so Browder removal can never strip them
     s5 = union(remove_open_gap_traces(sigma, removed), s1)
-    z.in_sigma5 = s5.member(QPoint.of(0))
+    z = replace(z, in_sigma5=s5.member(QPoint.of(0)))
 
     incident = all(m.incident_rays(cid) for cid in m.cycles)
-    report = SpectralReport(
+    return SpectralReport(
         model=m.name,
         sigma=sigma, sigma_m=s_m, sigma_l=s_l,
         sigma_1=s1, sigma_2=s2, sigma_2_prime=s2p, sigma_3=s3,
@@ -419,10 +418,9 @@ def essential_spectra(m: ValidatedModel) -> SpectralReport:
         sigma5_equals_sigma=(s5 == sigma),
         sigma3_equals_sigma=(s3 == sigma),
         zero=z,
-        critical_radii=list(m.critical),
+        critical_radii=[st.lo for st in strata],
         strata=strata,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +432,9 @@ def sample_grid(m: ValidatedModel) -> list[SpectralPoint]:
     circle, every root-set point, plus the origin."""
     second = RationalComplex.of(Fraction(3, 5), Fraction(4, 5))
     pts: list[SpectralPoint] = [QPoint.of(0)]
-    pts += [QPoint.of(st.sample) for st in m.derived(_strata)]
-    for r in m.critical:
+    strata = m.derived(_strata)
+    pts += [QPoint.of(st.sample) for st in strata]
+    for r in (st.lo for st in strata):
         if r.is_zero:
             continue
         q = r.rational_value()
@@ -493,6 +492,7 @@ def self_check(m: ValidatedModel, report: SpectralReport | None = None) -> list[
     # the eventual image as a model of its own: its kernel and defect at
     # lam != 0 are those of the chains in L alone
     image = ValidatedModel(OrbitModel(m.name, m.raw.cycles, m.two_sided_rays()))
+    critical = m.derived(_rows_by_radius)
 
     for lam in sample_grid(m):
         fd = fredholm_data(m, lam)
@@ -519,7 +519,7 @@ def self_check(m: ValidatedModel, report: SpectralReport | None = None) -> list[
         # every end of a sigma_L annulus, and 0, is a critical radius, so
         # off them the closed containment holds only in the interior
         mod = lam.modulus()
-        if mod not in m.critical and report.sigma_l.radial_contains(mod):
+        if mod not in critical and report.sigma_l.radial_contains(mod):
             expect(chain_kernel_dim(image, lam) + chain_defect_dim(image, lam)
                    != 0, f"{tag}: interior of sigma_L annulus without eigen-chain")
     return msgs

@@ -9,11 +9,17 @@ from ckspec.model import (Anchor, Cycle, DanglingAnchor, DuplicateId,
                           MalformedWeight, MissingForwardRay, OrbitModel,
                           Ray, SchemaError, core_sets, load_model,
                           model_to_json, parse_model_json, validate)
+from ckspec.spectra import _strata
 
 from _corpus import malformed_weights
 
 RC = RationalComplex.of
 ER = ExactRadius.from_fraction
+
+
+def _roles(m):
+    """critical radius -> the roles of the cycles at it, from the table rows"""
+    return {st.lo: st.roles for st in m.derived(_strata)}
 
 
 def test_missing_forward_ray_rejected():
@@ -98,15 +104,15 @@ def test_core_sets_half():
     cs = core_sets(m)
     assert cs.sources_count == INF and cs.z_w_count == 0
     # F is the one boundary cycle, under the bundle B
-    assert m.critical == {ER(0): frozenset(),
-                          ER(1): frozenset({"cluster", "bundle"})}
+    assert _roles(m) == {ER(0): frozenset(),
+                         ER(1): frozenset({"cluster", "bundle"})}
 
 
 def test_core_sets_ray1():
     m = load_fixture("ray1")
     cs = core_sets(m)
     assert cs.sources_count == 1 and cs.z_w_count == 0
-    assert m.critical[ER(1)] == {"cluster"}
+    assert _roles(m)[ER(1)] == {"cluster"}
 
 
 def test_core_sets_twocyc():
@@ -114,8 +120,8 @@ def test_core_sets_twocyc():
     cs = core_sets(m)
     assert cs.sources_count == 1 and cs.z_w_count == 0
     # A carries the forward ray R and the alpha end of S; B only S
-    assert m.critical[ER(Fraction(1, 2))] == {"cluster", "image"}
-    assert m.critical[ER(2)] == {"image"}
+    assert _roles(m)[ER(Fraction(1, 2))] == {"cluster", "image"}
+    assert _roles(m)[ER(2)] == {"image"}
     assert m.l_components() == [{"cycles": ["A", "B"], "rays": ["S"]}]
 
 
@@ -135,7 +141,7 @@ def test_core_sets_isolated_cycle():
     m = load_fixture("per3_isolated")
     assert core_sets(m).sources_count == 1
     # P has no ray: its radius 2 has no role, and it is a component alone
-    assert m.critical[ER(2)] == frozenset()
+    assert _roles(m)[ER(2)] == frozenset()
     assert m.l_components() == [{"cycles": ["P"], "rays": []},
                                 {"cycles": ["F"], "rays": []}]
 

@@ -9,15 +9,20 @@ from ckspec.fixtures import NAMES, load_fixture
 from ckspec.model import OMEGA, Anchor, Cycle, OrbitModel, Ray, validate
 from ckspec.oracle import chain_defect_dim, chain_kernel_dim
 from ckspec.radialset import RadialSet, canonicalize, intersect, union
-from ckspec.spectra import (_strata, essential_spectra, fredholm_data,
-                            sample_grid, self_check, sigma_L, sigma_M,
-                            zero_analysis)
+from ckspec.spectra import (FredholmData, _strata, essential_spectra,
+                            fredholm_data, sample_grid, self_check, sigma_L,
+                            sigma_M, zero_analysis)
 
 from _corpus import corpus, ladder
 
 RC = RationalComplex.of
 ER = ExactRadius.from_fraction
 Q = QPoint.of
+
+
+def _roles(m):
+    """critical radius -> the roles of the cycles at it, from the table rows"""
+    return {st.lo: st.roles for st in m.derived(_strata)}
 
 DISK1 = RadialSet.disk(ER(1))
 CIRCLE1 = RadialSet.circle(ER(1))
@@ -158,6 +163,23 @@ def test_fredholm_data_claims_only_flags_on_cluster_and_image_circles():
         assert fd.to_json()["dim_ker"] is None
 
 
+def test_one_fredholm_record():
+    # the zero report and the strata are Fredholm records with one index
+    # rule; the record itself carries no lambda
+    m = load_fixture("ray1")
+    rep = essential_spectra(m)
+    for fd in [rep.zero, *rep.strata, fredholm_data(m, Q(Fraction(1, 2)))]:
+        assert isinstance(fd, FredholmData)
+        fred = fd.upper and fd.lower
+        assert fd.index == (fd.dim_ker - fd.defect if fred else None)
+    assert list(fredholm_data(m, Q(3)).to_json()) == [
+        "upper", "lower", "dim_ker", "defect", "index"]
+    assert FredholmData(True, False, 1, 0).index is None
+    assert FredholmData(False, True, INF, 0).describe() == (
+        "upper=False lower=True dim_ker=infinite defect=0 index=None")
+    assert rep.zero.weyl == (rep.zero.index == 0)
+
+
 def test_zero_analysis_examples():
     z = zero_analysis(load_fixture("ray1"))
     assert z.upper and z.lower and z.dim_ker == 1 and z.defect == 0
@@ -202,14 +224,39 @@ def test_sigma_2_prime_within_sigma_2_on_corpus():
 
 def test_critical_table_roles():
     m = load_fixture("twocyc")
-    assert list(m.critical) == [ER(0), ER(Fraction(1, 2)), ER(2)]
-    assert m.critical[ER(Fraction(1, 2))] == {"cluster", "image"}
-    assert m.critical[ER(2)] == {"image"}
+    assert list(_roles(m)) == [ER(0), ER(Fraction(1, 2)), ER(2)]
+    assert _roles(m)[ER(Fraction(1, 2))] == {"cluster", "image"}
+    assert _roles(m)[ER(2)] == {"image"}
     half = load_fixture("half")
-    assert half.critical[ER(1)] == {"cluster", "bundle"}
+    assert _roles(half)[ER(1)] == {"cluster", "bundle"}
     per3 = load_fixture("per3_isolated")
-    assert per3.critical[ER(2)] == set()
-    assert per3.critical[ER(0)] == set()
+    assert _roles(per3)[ER(2)] == set()
+    assert _roles(per3)[ER(0)] == set()
+
+
+def test_critical_table_by_a_second_route():
+    # each row against the cycles at its radius and their incident rays,
+    # read one cycle at a time instead of in the sweep over the rays
+    for m in ([load_fixture(name) for name in NAMES] + corpus()
+              + [ladder(64, "ladder/64")]):
+        rows = m.derived(_strata)
+        radii = [st.lo for st in rows]
+        distinct = {ER(0)} | {cyc.gm() for cyc in m.cycles.values()}
+        assert set(radii) == distinct and len(radii) == len(distinct), m.name
+        assert all(a < b for a, b in zip(radii, radii[1:])), m.name
+        for st in rows:
+            at = tuple(c for c in m.cycles.values() if c.gm() == st.lo)
+            roles = set()
+            for cyc in at:
+                for ray in m.incident_rays(cyc.id):
+                    if ray.is_two_sided:
+                        roles.add("image")
+                    else:
+                        roles.add("cluster")
+                        if ray.multiplicity == OMEGA:
+                            roles.add("bundle")
+            assert st.roles == roles, (m.name, str(st.lo))
+            assert st.cycles == at, (m.name, str(st.lo))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +345,8 @@ def test_essential_spectra_on_1024_cycles_is_fast():
     start = time.process_time()
     rep = essential_spectra(m)
     elapsed = time.process_time() - start
-    assert len(rep.strata) == len(m.critical) > 1000
+    distinct = {ER(0)} | {cyc.gm() for cyc in m.cycles.values()}
+    assert len(rep.strata) == len(distinct) > 1000
     assert elapsed < 10.0, f"essential_spectra took {elapsed:.1f} s"
 
 
@@ -322,9 +370,10 @@ def test_sigma_l_interior_without_eigen_chain_is_reported(monkeypatch):
     reported = 0
     for m in [load_fixture(name) for name in NAMES] + corpus():
         l_annuli = sigma_L(m).annuli
+        critical = _roles(m)
         inside = any(any(lo < lam.modulus() < hi for lo, hi in l_annuli)
                      for lam in sample_grid(m)
-                     if lam.modulus() not in m.critical)
+                     if lam.modulus() not in critical)
         msgs = self_check(m)
         flagged = any("interior of sigma_L annulus without eigen-chain" in msg
                       for msg in msgs)
